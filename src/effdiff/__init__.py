@@ -4,8 +4,8 @@ energy measurements of highly oscillatory diffusion problems."""
 from .coefficients import CheckerboardRealization, CoefficientField, SymMat, \
     constant_field, mean_over_cell, periodic_smooth_field, \
     sample_checkerboard, scale_epsilon
-from .experiments import EnsembleStat, ErrorReport, ensemble, err_eps_q, \
-    err_star, identify_checkerboard, identify_periodic, one_d_profile, sweep
+from .experiments import EnsembleStat, ensemble, err_eps_q, err_star, \
+    identify_checkerboard, identify_periodic, one_d_profile, sweep
 from .homogenization import HomogenizedReference, checkerboard_exact, \
     harmonic_mean_1d, homogenized_matrix
 from .identify import CoarseModel, Measurements, NoiseSpec, OptimizerTrace, \
@@ -13,7 +13,6 @@ from .identify import CoarseModel, Measurements, NoiseSpec, OptimizerTrace, \
     simulate_measurements
 from .mesh import TriMesh, build_periodic_cell_mesh, build_unit_square_mesh
 from .modes import ModeBasis, affine_modes, choose_p, compute_r_modes
-from .solver import CorrectorSolver, NeumannSolver, solve_corrector, \
-    solve_neumann
+from .solver import CorrectorSolver, NeumannSolver, solve_corrector
 
 __version__ = "0.1.0"

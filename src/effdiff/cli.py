@@ -23,9 +23,8 @@ import numpy as np
 from .coefficients import SymMat, constant_field, periodic_smooth_field, \
     scale_epsilon
 from .experiments import DEFAULT_COARSE_H, coarse_mesh_n, \
-    coefficient_noise_study, fine_mesh_n, identify_checkerboard, \
-    identify_periodic, measurement_noise_study, one_d_profile, \
-    periodic_reference, sweep, write_csv, write_json
+    coefficient_noise_study, fine_mesh_n, measurement_noise_study, \
+    one_d_profile, periodic_reference, sweep, write_csv, write_json
 from .homogenization import checkerboard_exact, homogenized_matrix
 from .identify import me_ms_identity_check
 from .mesh import build_periodic_cell_mesh, build_unit_square_mesh
@@ -90,6 +89,10 @@ class RunConfig:
         if self.m2 is not None:
             return self.m2
         return 40 if self.profile == "full" else 10
+
+    def resolved_draws(self) -> int:
+        """Noisy re-identifications per sigma in the measurement-noise study."""
+        return 4 * self.resolved_m2()
 
     def resolved_p(self, eps: float) -> int:
         return choose_p(eps) if self.p == "auto" else int(self.p)
@@ -213,8 +216,10 @@ def resolve_report(cfg: RunConfig) -> list[str]:
                          f"fine n = {n} ({(n + 1) ** 2} nodes)")
         if cfg.coefficient == "checkerboard" \
                 or cfg.experiment == "noise_coefficient":
-            lines.append(f"M1 = {cfg.resolved_m1()}, "
-                         f"M2 = {cfg.resolved_m2()}")
+            lines.append(f"M1 = {cfg.resolved_m1()}")
+        if cfg.experiment == "noise_measurement":
+            lines.append(f"M2 = {cfg.resolved_m2()}, "
+                         f"draws = {cfg.resolved_draws()}")
     if cfg.experiment == "homogenize":
         lines.append(f"cell_n: {cfg.cell_n}")
     if cfg.experiment == "one_d_profile":
@@ -273,7 +278,7 @@ def run_experiment(cfg: RunConfig) -> list[dict]:
         eps = cfg.epsilons[0]
         return measurement_noise_study(
             eps=eps, r=cfg.resolved_r(), p=cfg.resolved_p(eps),
-            sigmas=cfg.sigmas, draws=cfg.resolved_m2() * 4,
+            sigmas=cfg.sigmas, draws=cfg.resolved_draws(),
             base_seed=cfg.base_seed, coarse_h=cfg.coarse_h)
 
     if cfg.experiment == "noise_coefficient":

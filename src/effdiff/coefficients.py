@@ -178,12 +178,6 @@ def sample_checkerboard(seed: int, eps: float) -> CoefficientField:
                             realization=real)
 
 
-def checkerboard_from_realization(real: CheckerboardRealization,
-                                  eps: float) -> CoefficientField:
-    field = sample_checkerboard(real.seed, eps)
-    return field
-
-
 def mean_over_cell(field: CoefficientField, quad_n: int = 256) -> SymMat:
     """Entrywise average of a periodic or constant field over the unit cell."""
     if field.kind not in ("constant", "periodic_analytic"):

@@ -22,10 +22,10 @@ from typing import Callable, Iterable, Sequence
 import numpy as np
 import scipy.linalg as sla
 
-from .coefficients import CoefficientField, SymMat, mean_over_cell, \
-    periodic_smooth_field, sample_checkerboard, scale_epsilon
+from .coefficients import SymMat, mean_over_cell, periodic_smooth_field, \
+    sample_checkerboard, scale_epsilon
 from .homogenization import checkerboard_exact, homogenized_matrix
-from .identify import CoarseModel, Measurements, NoiseSpec, OptimizerTrace, \
+from .identify import CoarseModel, Measurements, NoiseSpec, \
     apply_measurement_noise, identify, mean_measurements, \
     simulate_measurements
 from .mesh import TriMesh, build_periodic_cell_mesh, build_unit_square_mesh, \
@@ -91,13 +91,6 @@ def take_measurements(meas: Measurements, count: int) -> Measurements:
 # ---------------------------------------------------------------------------
 # error metrics
 
-@dataclass(frozen=True)
-class ErrorReport:
-    err_star: float
-    err_eps_q: float | None
-    metadata: dict
-
-
 def err_star(abar: SymMat, a_star: SymMat) -> float:
     """Relative error over the three independent entries."""
     num = (abar.a11 - a_star.a11) ** 2 + (abar.a12 - a_star.a12) ** 2 \
@@ -149,8 +142,8 @@ def err_eps_q_expect(abar: SymMat, eps: float, q: int, r: float,
                      coarse_h: float = DEFAULT_COARSE_H) -> float:
     """Same metric with the measured fields replaced by their sample mean
     over checkerboard realizations."""
-    batch, _, coarse = _checkerboard_batch(eps, q, r, m1, base_seed,
-                                           keep_fields=True)
+    batch = _checkerboard_batch(eps, q, r, m1, base_seed)
+    coarse = build_unit_square_mesh(coarse_mesh_n(coarse_h))
     return err_eps_q(abar, mean_measurements(batch), coarse)
 
 
@@ -314,20 +307,15 @@ def identify_periodic(eps: float, r: float = 20.0, p: int | None = None,
 
 
 def _checkerboard_batch(eps: float, q: int, r: float, m1: int,
-                        base_seed: int, keep_fields: bool):
+                        base_seed: int) -> list[Measurements]:
     """Measurements for M1 checkerboard realizations on a shared mesh."""
     cells = math.ceil(1.0 / eps)
     fine = build_unit_square_mesh(fine_mesh_n(eps, r, align_cells=cells))
     basis_q = compute_r_modes(fine, q)
-    coarse = build_unit_square_mesh(coarse_mesh_n())
-    batch = []
-    for i in range(m1):
-        seed = base_seed + i
-        field = sample_checkerboard(seed, eps)
-        batch.append(simulate_measurements(
-            fine, field, basis_q, keep_fields=keep_fields,
-            provenance={"field": "checkerboard", "seed": seed}))
-    return batch, fine, coarse
+    return [simulate_measurements(
+                fine, sample_checkerboard(seed, eps), basis_q,
+                provenance={"field": "checkerboard", "seed": seed})
+            for seed in range(base_seed, base_seed + m1)]
 
 
 def identify_checkerboard(eps: float, r: float = 10.0, p: int = 3,
@@ -344,14 +332,12 @@ def identify_checkerboard(eps: float, r: float = 10.0, p: int = 3,
         raise ValueError(f"need Q >= P, got Q={q}, P={p}")
     t0 = time.perf_counter()
     key = (eps, r, q, m1, base_seed)
-    cached = meas_cache.get(key) if meas_cache is not None else None
-    if cached is None:
-        batch, fine, coarse = _checkerboard_batch(
-            eps, q, r, m1, base_seed, keep_fields=True)
-        cached = (mean_measurements(batch), coarse)
+    mean_q = meas_cache.get(key) if meas_cache is not None else None
+    if mean_q is None:
+        mean_q = mean_measurements(
+            _checkerboard_batch(eps, q, r, m1, base_seed))
         if meas_cache is not None:
-            meas_cache[key] = cached
-    mean_q, coarse = cached
+            meas_cache[key] = mean_q
     coarse = build_unit_square_mesh(coarse_mesh_n(coarse_h))
     a_star = checkerboard_exact().matrix
 
@@ -470,63 +456,42 @@ def sweep(epsilons: Sequence[float], strategies: Sequence[str] = ("ME",),
     Per-record failures are recorded (with an ``error`` field) and the
     sweep continues; record order is deterministic.
     """
-    tasks = [(eps, strat) for eps in epsilons for strat in strategies]
     a_star = periodic_reference() if coefficient == "periodic_smooth" \
-        and tasks else None
+        and epsilons and strategies else None
 
-    def run(task):
-        eps, strat = task
+    def run(eps, strat, cache):
         try:
             if coefficient == "periodic_smooth":
                 return identify_periodic(eps, r=r, p=p, q=q,
-                                         coarse_h=coarse_h,
-                                         strategy=strat, a_star=a_star)
+                                         coarse_h=coarse_h, strategy=strat,
+                                         a_star=a_star, meas_cache=cache)
             if coefficient == "checkerboard":
                 return identify_checkerboard(eps, r=r, p=p or 3, q=q,
                                              m1=m1, base_seed=base_seed,
                                              coarse_h=coarse_h,
-                                             strategy=strat)
+                                             strategy=strat,
+                                             meas_cache=cache)
             raise ValueError(f"unknown coefficient {coefficient!r}")
         except Exception as exc:  # noqa: BLE001 - per-record tolerance
             return {"experiment": f"identify_{coefficient}",
                     "strategy": strat, "epsilon": eps, "P": p, "Q": q,
                     "r": r, "seed": base_seed, "error": repr(exc)}
 
-    if workers > 1:
-        # no measurement cache across concurrent tasks; each solves its own
-        return parallel_map(run, tasks, workers)
-    cache: dict = {}
+    # one task per epsilon, so each worker simulates its measurements once
+    # and shares them across the strategies
+    def run_eps(eps):
+        cache: dict = {}
+        return [run(eps, strat, cache) for strat in strategies]
 
-    def run_cached(task):
-        eps, strat = task
-        rec = None
-        try:
-            if coefficient == "periodic_smooth":
-                rec = identify_periodic(eps, r=r, p=p, q=q,
-                                        coarse_h=coarse_h, strategy=strat,
-                                        a_star=a_star, meas_cache=cache)
-            elif coefficient == "checkerboard":
-                rec = identify_checkerboard(eps, r=r, p=p or 3, q=q, m1=m1,
-                                            base_seed=base_seed,
-                                            coarse_h=coarse_h,
-                                            strategy=strat,
-                                            meas_cache=cache)
-            else:
-                raise ValueError(f"unknown coefficient {coefficient!r}")
-        except Exception as exc:  # noqa: BLE001
-            rec = {"experiment": f"identify_{coefficient}",
-                   "strategy": strat, "epsilon": eps, "P": p, "Q": q,
-                   "r": r, "seed": base_seed, "error": repr(exc)}
-        return rec
-
-    return [run_cached(t) for t in tasks]
+    return [rec for group in parallel_map(run_eps, epsilons, workers)
+            for rec in group]
 
 
 def _format_cell(value) -> str:
     if value is None:
         return ""
     if isinstance(value, float):
-        return repr(value)
+        return repr(float(value))  # numpy floats repr as np.float64(...)
     return str(value)
 
 

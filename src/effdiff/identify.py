@@ -24,9 +24,8 @@ import scipy.linalg as sla
 from .coefficients import CoefficientField, SymMat, constant_field
 from .mesh import TriMesh, boundary_mass_matrix, interpolate_boundary, \
     interpolate_nodal, zero_mean_project
-from .modes import ModeBasis, fix_sign, lanczos_extreme, modes_on_mesh
-from .solver import NeumannSolver, assemble_volume_mass, element_gradients, \
-    triangle_geometry
+from .modes import ModeBasis, extreme_eigenpairs, fix_sign, modes_on_mesh
+from .solver import NeumannSolver, assemble_volume_mass, triangle_geometry
 
 
 # ---------------------------------------------------------------------------
@@ -701,10 +700,10 @@ def me_ms_identity_check(coeff: CoefficientField, abar: SymMat,
         return apply_h_y(apply_h_y(y))
 
     deflate = chol.T @ np.ones(nb)
-    mu, _ = lanczos_extreme(apply_h_y, dim=nb, nev=1, deflate=deflate,
-                            which="LM", tol=tol)
-    lam2, _ = lanczos_extreme(apply_h2_y, dim=nb, nev=1, deflate=deflate,
-                              which="LA", tol=tol)
+    mu, _ = extreme_eigenpairs(apply_h_y, dim=nb, nev=1, deflate=deflate,
+                               which="LM", tol=tol)
+    lam2, _ = extreme_eigenpairs(apply_h2_y, dim=nb, nev=1, deflate=deflate,
+                                 which="LA", tol=tol)
     psi_me = 0.5 * abs(float(mu[0]))
     psi_ms = math.sqrt(max(float(lam2[0]), 0.0))
     return psi_me, psi_ms

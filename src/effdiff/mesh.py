@@ -212,18 +212,3 @@ def interpolate_boundary(mesh_from: TriMesh, values: np.ndarray,
     s_ext = np.concatenate([s_from, [per]])
     v_ext = np.concatenate([values, [values[0]]])
     return np.interp(s_to % per, s_ext, v_ext)
-
-
-def dump_mesh(mesh: TriMesh, path: str,
-              values: np.ndarray | None = None) -> None:
-    """Plain-text node/element dump for debugging; not a stable format."""
-    with open(path, "w") as f:
-        f.write(f"# nodes {mesh.num_nodes}\n")
-        for k, (x, y) in enumerate(mesh.nodes):
-            if values is not None:
-                f.write(f"{k} {x:.17g} {y:.17g} {values[k]:.17g}\n")
-            else:
-                f.write(f"{k} {x:.17g} {y:.17g}\n")
-        f.write(f"# triangles {mesh.triangles.shape[0]}\n")
-        for k, (a, b, c) in enumerate(mesh.triangles):
-            f.write(f"{k} {a} {b} {c}\n")

@@ -2,8 +2,8 @@
 Neumann-to-Dirichlet Laplace operator, and the affine normal-trace family.
 
 The Neumann-to-Dirichlet operator is only available through solves, so its
-leading eigenpairs are computed by Lanczos iteration with full
-reorthogonalization, one Laplace solve per operator application, against a
+leading eigenpairs are computed by scipy's ``eigsh`` (ARPACK's implicitly
+restarted Lanczos), one Laplace solve per operator application, against a
 shared factorization.  The zero-mean constraint is handled by deflating the
 constant boundary function, which keeps the operator symmetric.
 """
@@ -15,6 +15,7 @@ from typing import Callable
 
 import numpy as np
 import scipy.linalg as sla
+import scipy.sparse.linalg as spla
 
 from .coefficients import SymMat, constant_field
 from .mesh import TriMesh, boundary_mass_matrix, interpolate_boundary, \
@@ -46,86 +47,39 @@ def fix_sign(v: np.ndarray) -> np.ndarray:
     return -v if v[k] < 0.0 else v
 
 
-def lanczos_extreme(apply_op: Callable[[np.ndarray], np.ndarray],
-                    dim: int,
-                    nev: int,
-                    deflate: np.ndarray | None = None,
-                    which: str = "LA",
-                    tol: float = 1e-10,
-                    max_dim: int | None = None,
-                    seed: int = 12345):
-    """Extreme eigenpairs of a symmetric operator by Lanczos iteration.
+def extreme_eigenpairs(apply_op: Callable[[np.ndarray], np.ndarray],
+                       dim: int, nev: int,
+                       deflate: np.ndarray | None = None,
+                       which: str = "LA", tol: float = 1e-10,
+                       seed: int = 12345):
+    """Extreme eigenpairs of a symmetric operator by ARPACK's Lanczos.
 
     ``which`` selects the largest algebraic ("LA") or largest-magnitude
-    ("LM") end of the spectrum.  Residual convergence is measured relative
-    to the leading Ritz value.  Raises EigensolverError on non-convergence.
+    ("LM") end of the spectrum; pairs come back in that order.  The
+    ``deflate`` direction is projected out of the operator's input and
+    output.  Raises EigensolverError on non-convergence.
     """
-    if max_dim is None:
-        max_dim = min(dim, max(8 * nev + 60, 90))
-    max_dim = min(max_dim, dim)
-    if nev > max_dim:
-        raise ValueError(f"cannot extract {nev} pairs from a Krylov space "
-                         f"of dimension {max_dim}")
-
-    rng = np.random.default_rng(seed)
-    defl = None
-    if deflate is not None:
-        defl = deflate / np.linalg.norm(deflate)
+    defl = None if deflate is None else deflate / np.linalg.norm(deflate)
 
     def project(z):
-        if defl is not None:
-            z = z - defl * (defl @ z)
-        return z
+        return z if defl is None else z - defl * (defl @ z)
 
-    q = project(rng.standard_normal(dim))
-    q /= np.linalg.norm(q)
-    basis = [q]
-    alphas: list[float] = []
-    betas: list[float] = []
-
-    def ritz(k):
-        t = np.diag(np.array(alphas[:k]))
-        if k > 1:
-            off = np.array(betas[:k - 1])
-            t += np.diag(off, 1) + np.diag(off, -1)
-        vals, vecs = sla.eigh(t)
-        order = np.argsort(-vals if which == "LA" else -np.abs(vals))
-        return vals[order], vecs[:, order]
-
-    result = None
-    for j in range(max_dim):
-        z = apply_op(basis[j])
-        alphas.append(float(basis[j] @ z))
-        # full reorthogonalization, twice for safety
-        qmat = np.stack(basis, axis=1)
-        for _ in range(2):
-            z = project(z - qmat @ (qmat.T @ z))
-        beta = float(np.linalg.norm(z))
-        k = j + 1
-        if k >= nev:
-            vals, vecs = ritz(k)
-            resid = beta * np.abs(vecs[-1, :nev])
-            scale = max(np.abs(vals[0]), 1e-300)
-            if np.all(resid <= tol * scale) or k == max_dim or beta < 1e-14:
-                if np.all(resid <= max(tol, 1e-9) * scale) or beta < 1e-14 \
-                        or k == dim:
-                    result = (vals[:nev], qmat @ vecs[:, :nev], resid)
-                    break
-                if k == max_dim:
-                    raise EigensolverError(
-                        f"Lanczos did not converge in {max_dim} steps; "
-                        f"residual norms {resid}")
-        if beta < 1e-14:
-            # invariant subspace found before nev pairs were available
-            raise EigensolverError(
-                f"Krylov breakdown at step {k} with only {k} directions")
-        betas.append(beta)
-        basis.append(z / beta)
-
-    if result is None:
-        raise EigensolverError("Lanczos failed to produce Ritz pairs")
-    vals, vecs, _ = result
-    return vals, vecs
+    op = spla.LinearOperator((dim, dim), dtype=float,
+                             matvec=lambda x: project(apply_op(project(x))))
+    v0 = project(np.random.default_rng(seed).standard_normal(dim))
+    try:
+        vals, vecs = spla.eigsh(op, k=nev, which=which, v0=v0, tol=tol)
+    except spla.ArpackNoConvergence as exc:
+        raise EigensolverError(f"Lanczos did not converge: {exc}") from exc
+    except spla.ArpackError as exc:
+        # ARPACK gives up when the operator maps the start vector to zero;
+        # for the zero operator every direction is an eigenvector of 0
+        if np.any(op.matvec(v0)):
+            raise EigensolverError(f"Lanczos failed: {exc}") from exc
+        vecs, _ = np.linalg.qr(np.column_stack([v0] * nev))
+        return np.zeros(nev), vecs
+    order = np.argsort(-vals if which == "LA" else -np.abs(vals))
+    return vals[order], vecs[:, order]
 
 
 class RModeOperator:
@@ -165,8 +119,8 @@ def compute_r_modes(mesh: TriMesh, p_count: int, tol: float = 1e-10) -> ModeBasi
                          f"got {p_count}")
     op = RModeOperator(mesh)
     deflate = op.to_y(np.ones(nb))
-    vals, ys = lanczos_extreme(op.apply_y, dim=nb, nev=p_count,
-                               deflate=deflate, which="LA", tol=tol)
+    vals, ys = extreme_eigenpairs(op.apply_y, dim=nb, nev=p_count,
+                                  deflate=deflate, which="LA", tol=tol)
     if np.any(vals <= 0.0):
         raise EigensolverError(
             f"Neumann-to-Dirichlet operator produced non-positive "

@@ -77,12 +77,6 @@ def element_gradients(mesh: TriMesh, u: np.ndarray) -> np.ndarray:
     return np.einsum("tki,tk->ti", grads, u[mesh.triangles])
 
 
-@dataclass
-class NeumannSolution:
-    values: np.ndarray
-    flux_datum: np.ndarray
-
-
 class NeumannSolver:
     """Factorized solver for -div(A grad u) = 0 with flux data on one mesh.
 
@@ -211,13 +205,6 @@ class CorrectorSolver:
 def solve_corrector(cell_mesh: TriMesh, field: CoefficientField,
                     p) -> CorrectorSolution:
     return CorrectorSolver(cell_mesh, field).solve(p)
-
-
-def solve_neumann(mesh: TriMesh, field: CoefficientField,
-                  g: np.ndarray) -> NeumannSolution:
-    """One-shot Neumann solve; prefer NeumannSolver for repeated data."""
-    u = NeumannSolver(mesh, field).solve(g)
-    return NeumannSolution(values=u, flux_datum=g)
 
 
 def constant_solver(mesh: TriMesh, m: SymMat) -> NeumannSolver:

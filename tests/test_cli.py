@@ -167,3 +167,11 @@ def test_resolve_report_mentions_ensembles():
                     epsilons=[0.25])
     lines = "\n".join(resolve_report(cfg))
     assert "M1 = 10" in lines
+    assert "M2" not in lines   # checkerboard sweeps average M1 only
+
+
+def test_resolve_report_states_noise_draws():
+    from effdiff.cli import RunConfig
+    cfg = RunConfig(experiment="noise_measurement", epsilons=[0.2])
+    lines = "\n".join(resolve_report(cfg))
+    assert "draws = 40" in lines

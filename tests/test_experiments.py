@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from effdiff import experiments
 from effdiff.coefficients import SymMat, constant_field, sample_checkerboard
 from effdiff.experiments import CSV_COLUMNS, EnsembleStat, \
     _checkerboard_batch, coarse_mesh_n, ensemble, err_eps_q, \
@@ -103,9 +104,20 @@ def test_err_eps_q_expect_single_realization_matches_direct():
     eps, q, r, seed = 0.25, 3, 2.0, 5
     at = SymMat.identity(9.0)
     via_expect = err_eps_q_expect(at, eps, q, r, m1=1, base_seed=seed)
-    batch, fine, coarse = _checkerboard_batch(eps, q, r, 1, seed,
-                                              keep_fields=True)
+    batch = _checkerboard_batch(eps, q, r, 1, seed)
+    coarse = build_unit_square_mesh(coarse_mesh_n())
     direct = err_eps_q(at, mean_measurements(batch), coarse)
+    assert abs(via_expect - direct) < 1e-12
+
+
+def test_err_eps_q_expect_uses_coarse_h():
+    eps, q, r, seed = 0.25, 3, 2.0, 5
+    at = SymMat.identity(9.0)
+    via_expect = err_eps_q_expect(at, eps, q, r, m1=1, base_seed=seed,
+                                  coarse_h=0.2)
+    coarse = build_unit_square_mesh(coarse_mesh_n(0.2))
+    direct = err_eps_q(at, mean_measurements(_checkerboard_batch(
+        eps, q, r, 1, seed)), coarse)
     assert abs(via_expect - direct) < 1e-12
 
 
@@ -247,6 +259,27 @@ def test_sweep_record_shape_and_order():
     assert records[1]["err_star"] == 0.0
 
 
+def test_sweep_workers_match_serial_and_simulate_once(monkeypatch):
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return simulate_measurements(*args, **kwargs)
+
+    monkeypatch.setattr(experiments, "simulate_measurements", counting)
+
+    def run(workers):
+        records = sweep([0.25], ["ME", "A_star"], r=4.0, q=5, coarse_h=0.2,
+                        workers=workers)
+        return [{k: v for k, v in rec.items() if k != "wall_ms"}
+                for rec in records]
+
+    serial = run(1)
+    calls.clear()
+    assert run(2) == serial
+    assert len(calls) == 1   # one measurement set per epsilon
+
+
 def test_sweep_captures_per_record_errors():
     records = sweep([0.25], ["bogus"], r=4.0, q=5, coarse_h=0.2)
     assert len(records) == 1
@@ -296,10 +329,12 @@ def test_write_csv_repr_roundtrips_floats(tmp_path):
     val = 0.1 + 0.2
     records = [{c: None for c in CSV_COLUMNS}]
     records[0].update(experiment="x", strategy="ME", epsilon=val, P=1, Q=1,
-                      r=1, seed=0, a11=val, a12=0.0, a22=1.0, wall_ms=0.0,
-                      iters=0)
+                      r=1, seed=0, a11=val, a12=0.0, a22=np.float64(val),
+                      wall_ms=0.0, iters=0)
     path = tmp_path / "rt.csv"
     write_csv(records, str(path))
     with open(path, newline="") as fh:
         rows = list(csv.reader(fh))
     assert float(rows[1][rows[0].index("a11")]) == val
+    # numpy floats are written like Python floats, not as np.float64(...)
+    assert rows[1][rows[0].index("a22")] == repr(val)

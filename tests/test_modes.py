@@ -5,7 +5,7 @@ import scipy.linalg as sla
 from effdiff.coefficients import SymMat, constant_field
 from effdiff.mesh import boundary_mass_matrix, build_unit_square_mesh
 from effdiff.modes import RModeOperator, affine_modes, choose_p, \
-    compute_r_modes, fix_sign, lanczos_extreme, modes_on_mesh
+    compute_r_modes, extreme_eigenpairs, fix_sign, modes_on_mesh
 from effdiff.solver import constant_solver
 
 
@@ -124,7 +124,8 @@ def test_lanczos_on_small_dense_matrix():
     rng = np.random.default_rng(4)
     a = rng.standard_normal((40, 40))
     a = a + a.T
-    vals, vecs = lanczos_extreme(lambda x: a @ x, dim=40, nev=3, which="LM")
+    vals, vecs = extreme_eigenpairs(lambda x: a @ x, dim=40, nev=3,
+                                    which="LM")
     ref = np.linalg.eigvalsh(a)
     ref = ref[np.argsort(-np.abs(ref))][:3]
     assert np.abs(vals - ref).max() < 1e-8
