@@ -17,6 +17,7 @@ import time
 import warnings
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Callable, Iterable, Sequence
 
 import numpy as np
@@ -247,7 +248,10 @@ def _record(experiment: str, strategy: str, eps: float, p: int, q: int | None,
     return rec
 
 
+@lru_cache(maxsize=None)
 def periodic_reference(cell_n: int = 512) -> SymMat:
+    """Homogenized matrix of the periodic test field; one corrector solve
+    per cell resolution and process."""
     cell = build_periodic_cell_mesh(cell_n)
     return homogenized_matrix(cell, periodic_smooth_field()).matrix
 

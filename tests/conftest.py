@@ -5,17 +5,18 @@ import numpy as np
 import pytest
 
 from effdiff.coefficients import SymMat, periodic_smooth_field, scale_epsilon
-from effdiff.experiments import coarse_mesh_n, fine_mesh_n
-from effdiff.homogenization import homogenized_matrix
+from effdiff.experiments import coarse_mesh_n, fine_mesh_n, \
+    periodic_reference
 from effdiff.identify import simulate_measurements
-from effdiff.mesh import build_periodic_cell_mesh, build_unit_square_mesh
+from effdiff.mesh import build_unit_square_mesh
 from effdiff.modes import compute_r_modes
 
 
 @pytest.fixture(scope="session")
 def astar_512():
-    cell = build_periodic_cell_mesh(512)
-    return homogenized_matrix(cell, periodic_smooth_field()).matrix
+    # the default reference is the 512-cell one; sharing its cache with the
+    # sweeps runs that corrector solve once per session
+    return periodic_reference()
 
 
 @pytest.fixture(scope="session")

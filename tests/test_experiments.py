@@ -269,15 +269,15 @@ def test_sweep_workers_match_serial_and_simulate_once(monkeypatch):
     monkeypatch.setattr(experiments, "simulate_measurements", counting)
 
     def run(workers):
-        records = sweep([0.25], ["ME", "A_star"], r=4.0, q=5, coarse_h=0.2,
-                        workers=workers)
+        records = sweep([0.25, 0.5], ["ME", "A_star"], r=4.0, q=5,
+                        coarse_h=0.2, workers=workers)
         return [{k: v for k, v in rec.items() if k != "wall_ms"}
                 for rec in records]
 
     serial = run(1)
     calls.clear()
     assert run(2) == serial
-    assert len(calls) == 1   # one measurement set per epsilon
+    assert len(calls) == 2   # one measurement set per epsilon
 
 
 def test_sweep_captures_per_record_errors():
