@@ -41,9 +41,19 @@ class EigensolverError(RuntimeError):
     pass
 
 
+# eigenvalues closer than this times the largest one form one cluster
+CLUSTER_RTOL = 1e-8
+
+
 def fix_sign(v: np.ndarray) -> np.ndarray:
-    """Make the entry of largest absolute value positive (first on ties)."""
-    k = int(np.argmax(np.abs(v)))
+    """Make the entry of largest absolute value positive.
+
+    Entries within 1e-8 * max|v| of the largest tie, and the first of them
+    decides, so symmetric modes with exactly tied extremes get a sign that
+    does not depend on rounding.
+    """
+    a = np.abs(v)
+    k = int(np.argmax(a >= (1.0 - 1e-8) * a.max()))
     return -v if v[k] < 0.0 else v
 
 
@@ -107,11 +117,75 @@ class RModeOperator:
         return self.to_y(self.apply(self.from_y(y)))
 
 
+def _square_symmetries(nb: int) -> list[np.ndarray]:
+    """Loop-position maps of the eight symmetries of the square.
+
+    The loop runs counterclockwise from the origin with nb / 4 positions per
+    side, so a quarter turn sends position k to k + nb / 4 and the reflection
+    (x, y) -> (y, x) sends it to -k.  The reflection comes fifth.
+    """
+    k = np.arange(nb)
+    return [(sign * k + m * (nb // 4)) % nb for sign in (1, -1)
+            for m in range(4)]
+
+
+def _reflect_clusters(modes: np.ndarray, vals: np.ndarray, mass,
+                      reflect: np.ndarray) -> np.ndarray:
+    """Rotate each cluster of equal eigenvalues onto reflection eigenvectors.
+
+    Inside a cluster (|dlambda| <= CLUSTER_RTOL * lambda_0) the eigensolver
+    returns an arbitrary orthonormal basis.  The reflection (x, y) -> (y, x)
+    is an exact symmetry of the mesh and of the identity-coefficient
+    operator; its eigenvectors inside the cluster (parity +1 first) form a
+    basis that depends on the operator alone.  Raises EigensolverError when
+    the reflection does not split a cluster.
+    """
+    out = modes.copy()
+    start = 0
+    while start < len(vals):
+        stop = start + 1
+        while stop < len(vals) and \
+                vals[start] - vals[stop] <= CLUSTER_RTOL * vals[0]:
+            stop += 1
+        if stop - start > 1:
+            block = modes[start:stop]
+            parity, rot = np.linalg.eigh(block @ (mass @ block[:, reflect].T))
+            if np.any(np.diff(parity) < 1.0):
+                raise EigensolverError(
+                    f"the reflection does not split the eigenvalue cluster "
+                    f"{vals[start:stop]} (parities {parity})")
+            out[start:stop] = rot[:, ::-1].T @ block
+        start = stop
+    return out
+
+
+def _symmetrize(g: np.ndarray, mass, symmetries) -> np.ndarray:
+    """Average g over the symmetries that map it to +-g, orbit by orbit.
+
+    Every entry is written from its orbit's one averaged value, so entries
+    that a symmetry maps onto each other have equal magnitudes bit for bit
+    and ``fix_sign`` sees exact ties, not ties broken by rounding.
+    """
+    norm = g @ (mass @ g)
+    parity = np.array([g @ (mass @ g[p]) for p in symmetries]) / norm
+    keep = np.abs(parity) > 0.5
+    perms = np.stack(symmetries)[keep]
+    signs = np.sign(parity[keep])
+    avg = (signs[:, None] * g[perms]).mean(axis=0)
+    # g[k] = sign_h * g[perm_h[k]]; take the image with the smallest index
+    first = np.argmin(perms, axis=0)
+    cols = np.arange(g.shape[0])
+    return signs[first] * avg[perms[first, cols]]
+
+
 def compute_r_modes(mesh: TriMesh, p_count: int, tol: float = 1e-10) -> ModeBasis:
     """Top eigenpairs of the Neumann-to-Dirichlet Laplace operator.
 
     Modes are orthonormal in the boundary mass inner product, have zero
-    boundary mean, and carry a deterministic sign convention.
+    boundary mean, and are canonical: degenerate pairs are split by the
+    reflection symmetry and signs follow ``fix_sign``, so the basis does not
+    depend on the eigensolver's start vector or rounding.  When P would cut
+    a cluster, the whole cluster is computed and rotated before truncation.
     """
     nb = mesh.num_boundary_dofs
     if not 1 <= p_count <= nb - 1:
@@ -119,17 +193,25 @@ def compute_r_modes(mesh: TriMesh, p_count: int, tol: float = 1e-10) -> ModeBasi
                          f"got {p_count}")
     op = RModeOperator(mesh)
     deflate = op.to_y(np.ones(nb))
-    vals, ys = extreme_eigenpairs(op.apply_y, dim=nb, nev=p_count,
-                                  deflate=deflate, which="LA", tol=tol)
+    nev = p_count
+    while True:
+        nev = min(nev + 1, nb - 1)
+        vals, ys = extreme_eigenpairs(op.apply_y, dim=nb, nev=nev,
+                                      deflate=deflate, which="LA", tol=tol)
+        if nev == nb - 1 or \
+                vals[p_count - 1] - vals[-1] > CLUSTER_RTOL * vals[0]:
+            break
     if np.any(vals <= 0.0):
         raise EigensolverError(
             f"Neumann-to-Dirichlet operator produced non-positive "
             f"eigenvalues {vals}")
-    modes = np.empty((p_count, nb))
-    for k in range(p_count):
-        modes[k] = fix_sign(op.from_y(ys[:, k]))
-    return ModeBasis(modes=modes, eigenvalues=vals, family="r_modes",
-                     mesh_n=mesh.n)
+    modes = np.stack([op.from_y(ys[:, k]) for k in range(nev)])
+    symmetries = _square_symmetries(nb)
+    modes = _reflect_clusters(modes, vals, op.mass, symmetries[4])[:p_count]
+    modes = np.stack([fix_sign(_symmetrize(g, op.mass, symmetries))
+                      for g in modes])
+    return ModeBasis(modes=modes, eigenvalues=vals[:p_count],
+                     family="r_modes", mesh_n=mesh.n)
 
 
 def affine_modes(mesh: TriMesh) -> ModeBasis:

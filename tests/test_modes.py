@@ -1,6 +1,10 @@
+import functools
+
 import numpy as np
 import pytest
 import scipy.linalg as sla
+
+import effdiff.modes as modes_module
 
 from effdiff.coefficients import SymMat, constant_field
 from effdiff.mesh import boundary_mass_matrix, build_unit_square_mesh
@@ -113,6 +117,26 @@ def test_sign_convention_deterministic():
 def test_fix_sign_tie_goes_first():
     v = np.array([-2.0, 2.0, 1.0])
     assert np.array_equal(fix_sign(v), np.array([2.0, -2.0, -1.0]))
+
+
+def test_fix_sign_near_tie_goes_first():
+    # extremes that differ by rounding only still count as a tie
+    v = np.array([-2.0, 2.0 * (1.0 + 1e-12), 1.0])
+    assert np.array_equal(fix_sign(v), -v)
+    assert np.array_equal(fix_sign(-v), -v)
+
+
+def test_r_modes_independent_of_start_vector(monkeypatch):
+    # n = 24, P = 6 cuts the degenerate pair of modes 5 and 6; the basis
+    # must not depend on the Lanczos start vector
+    mesh = build_unit_square_mesh(24)
+    bases = []
+    for seed in (12345, 7):
+        monkeypatch.setattr(modes_module, "extreme_eigenpairs",
+                            functools.partial(extreme_eigenpairs, seed=seed))
+        bases.append(compute_r_modes(mesh, 6))
+    assert np.abs(bases[0].modes - bases[1].modes).max() <= 1e-8
+    assert np.abs(bases[0].eigenvalues - bases[1].eigenvalues).max() <= 1e-8
 
 
 def test_too_many_modes_rejected():
