@@ -13,6 +13,6 @@ from .identify import CoarseModel, Measurements, NoiseSpec, OptimizerTrace, \
     simulate_measurements
 from .mesh import TriMesh, build_periodic_cell_mesh, build_unit_square_mesh
 from .modes import ModeBasis, affine_modes, choose_p, compute_r_modes
-from .solver import CorrectorSolver, NeumannSolver, solve_corrector
+from .solver import CorrectorSolver, NeumannSolver
 
 __version__ = "0.1.0"

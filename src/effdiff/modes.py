@@ -5,7 +5,10 @@ The Neumann-to-Dirichlet operator is only available through solves, so its
 leading eigenpairs are computed by scipy's ``eigsh`` (ARPACK's implicitly
 restarted Lanczos), one Laplace solve per operator application, against a
 shared factorization.  The zero-mean constraint is handled by deflating the
-constant boundary function, which keeps the operator symmetric.
+constant boundary function, which keeps the operator symmetric.  The square's
+symmetries make some eigenvalues double; the basis is made canonical with
+them (see ``compute_r_modes``), so it does not depend on the eigensolver or
+on the factorization's rounding.
 """
 
 from __future__ import annotations

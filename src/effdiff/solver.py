@@ -1,22 +1,32 @@
-"""P1 finite elements for pure-Neumann diffusion problems.
+"""P1 finite elements for pure-Neumann and periodic diffusion problems.
 
-The pure-Neumann singularity is removed by a single scalar Lagrange
-multiplier enforcing zero boundary mean, matching the continuous
-normalization of the solution space.  Coefficients are sampled once per
-triangle at the barycenter (one-point quadrature), which is exact for
-piecewise-constant checkerboard fields on aligned meshes.
+Both problems have the constants as kernel.  Every solve goes through one
+factorization path, ``PinnedLU``: one node is pinned to zero, the others are
+factored in George's nested-dissection order of the structured grid with
+diagonal pivots, and the zero boundary mean (Neumann) or zero cell average
+(corrector) is restored by subtracting a constant, which matches the
+continuous normalization of the solution space.  Coefficients are sampled
+once per triangle at the barycenter (one-point quadrature), which is exact
+for piecewise-constant checkerboard fields on aligned meshes.
+
+Work that does not depend on the coefficient is done once per grid size n,
+since the nodes and triangles of both mesh builders depend on n alone: the
+elimination order, the boundary mass and constraint, and the stiffnesses of
+the three unit coefficients, from which a constant coefficient's stiffness
+is a linear combination.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from .coefficients import CoefficientField, SymMat, constant_field
-from .mesh import TriMesh, boundary_mass_matrix
+from .coefficients import CoefficientField
+from .mesh import TriMesh, boundary_mass_matrix, build_unit_square_mesh
 
 
 def triangle_geometry(mesh: TriMesh):
@@ -40,10 +50,9 @@ def triangle_geometry(mesh: TriMesh):
     return areas, grads, barycenters
 
 
-def assemble_stiffness(mesh: TriMesh, field: CoefficientField) -> sp.csr_matrix:
-    """Stiffness matrix with the coefficient sampled at barycenters."""
-    areas, grads, bary = triangle_geometry(mesh)
-    amat = field(bary)  # (M, 2, 2)
+def _assemble(mesh: TriMesh, amat: np.ndarray, areas: np.ndarray,
+              grads: np.ndarray) -> sp.csr_matrix:
+    """Stiffness of per-triangle coefficients amat, shape (M, 2, 2)."""
     # local k_ab = |T| * grad_a . A grad_b
     ag = np.einsum("tij,tbj->tbi", amat, grads)
     local = np.einsum("tai,tbi->tab", grads, ag) * areas[:, None, None]
@@ -54,6 +63,31 @@ def assemble_stiffness(mesh: TriMesh, field: CoefficientField) -> sp.csr_matrix:
     k = sp.coo_matrix((local.ravel(), (rows, cols)),
                       shape=(mesh.num_nodes, mesh.num_nodes))
     return k.tocsr()
+
+
+@functools.lru_cache(maxsize=2)
+def _unit_stiffnesses(n: int) -> tuple[sp.csr_matrix, ...]:
+    """Stiffnesses of the coefficients E11, E12 + E21 and E22 on the n-grid."""
+    mesh = build_unit_square_mesh(n)
+    areas, grads, _ = triangle_geometry(mesh)
+    units = ([[1.0, 0.0], [0.0, 0.0]], [[0.0, 1.0], [1.0, 0.0]],
+             [[0.0, 0.0], [0.0, 1.0]])
+    return tuple(_assemble(mesh, np.broadcast_to(u, (areas.shape[0], 2, 2)),
+                           areas, grads) for u in units)
+
+
+def assemble_stiffness(mesh: TriMesh, field: CoefficientField) -> sp.csr_matrix:
+    """Stiffness matrix with the coefficient sampled at barycenters.
+
+    A constant coefficient A gives a11 K11 + a12 K12 + a22 K22 from the
+    cached unit stiffnesses of the grid size.
+    """
+    if field.kind == "constant":
+        a = field(np.zeros((1, 2)))[0]
+        k11, k12, k22 = _unit_stiffnesses(mesh.n)
+        return a[0, 0] * k11 + a[0, 1] * k12 + a[1, 1] * k22
+    areas, grads, bary = triangle_geometry(mesh)
+    return _assemble(mesh, field(bary), areas, grads)
 
 
 def assemble_volume_mass(mesh: TriMesh) -> sp.csr_matrix:
@@ -77,30 +111,104 @@ def element_gradients(mesh: TriMesh, u: np.ndarray) -> np.ndarray:
     return np.einsum("tki,tk->ti", grads, u[mesh.triangles])
 
 
+# blocks this small are ordered row by row
+_ND_LEAF = 4
+
+
+def nested_dissection(nx: int, ny: int, periodic: bool = False) -> np.ndarray:
+    """Nested-dissection order of the nodes i + j * nx of an nx-by-ny grid.
+
+    A. George, "Nested dissection of a regular finite element mesh", SIAM
+    J. Numer. Anal. 10(2), 1973.  A block is split by its middle grid line
+    across the longer side; the two halves come first and the line last.
+    One grid line separates the stencil of the diagonal triangulation,
+    whose neighbours differ by at most one in each index.  With
+    ``periodic`` (wraparound in both directions) the lines j = 0 and
+    i = 0 cut the torus open and come last.
+    """
+    grid = np.arange(nx * ny).reshape(ny, nx)  # grid[j, i]
+    parts = []
+
+    def dissect(block):
+        h, w = block.shape
+        if h * w <= _ND_LEAF:
+            parts.append(block.ravel())
+        elif w >= h:
+            dissect(block[:, :w // 2])
+            dissect(block[:, w // 2 + 1:])
+            parts.append(block[:, w // 2])
+        else:
+            dissect(block[:h // 2])
+            dissect(block[h // 2 + 1:])
+            parts.append(block[h // 2])
+
+    if periodic:
+        dissect(grid[1:, 1:])
+        parts += [grid[0, 1:], grid[:, 0]]
+    else:
+        dissect(grid)
+    return np.concatenate(parts)
+
+
+class PinnedLU:
+    """Sparse LU of a stiffness K whose kernel is the constants.
+
+    Solutions are normalized by ``weights @ u = 0``.  The last node of
+    ``order`` is pinned to zero and the others are factored in that order
+    with diagonal pivots (for a coercive coefficient, K without the pinned
+    node is symmetric positive definite).  A load b is first made
+    compatible, b - weights * sum(b) / sum(weights), the load a Lagrange
+    multiplier for the constraint would leave; the pinned solution is then
+    shifted by a constant.
+    """
+
+    def __init__(self, k: sp.spmatrix, order: np.ndarray,
+                 weights: np.ndarray):
+        self._free = order[:-1]
+        self._weights = weights
+        self._lu = spla.splu(k[self._free][:, self._free].tocsc(),
+                             permc_spec="NATURAL", diag_pivot_thresh=0.0,
+                             options={"SymmetricMode": True})
+        self.nnz = self._lu.nnz
+
+    def solve(self, b: np.ndarray) -> np.ndarray:
+        w = self._weights
+        b = b - w * (b.sum() / w.sum())
+        u = np.zeros_like(b)
+        u[self._free] = self._lu.solve(b[self._free])
+        return u - (w @ u) / w.sum()
+
+
+@functools.lru_cache(maxsize=2)
+def _neumann_setup(n: int):
+    """Boundary mass, constraint weights and node order of the n-grid."""
+    mesh = build_unit_square_mesh(n)
+    mass = boundary_mass_matrix(mesh)
+    c = np.zeros(mesh.num_nodes)
+    c[mesh.boundary_loop] = mass @ np.ones(mesh.num_boundary_dofs)
+    order = nested_dissection(n + 1, n + 1)
+    c.flags.writeable = order.flags.writeable = False
+    return mass, c, order
+
+
 class NeumannSolver:
     """Factorized solver for -div(A grad u) = 0 with flux data on one mesh.
 
     The factorization is computed once and reused across right-hand sides.
     Boundary data live on boundary-loop degrees of freedom and must have
-    zero boundary mean.
+    zero boundary mean.  Raises ValueError for a field that is not
+    coercive (alpha <= 0).
     """
 
     def __init__(self, mesh: TriMesh, field: CoefficientField):
+        if field.alpha <= 0.0:
+            raise ValueError(f"coefficient field is not coercive "
+                             f"(alpha = {field.alpha})")
         self.mesh = mesh
         self.field = field
-        self.boundary_mass = boundary_mass_matrix(mesh)
+        self.boundary_mass, self._constraint, order = _neumann_setup(mesh.n)
         self.stiffness = assemble_stiffness(mesh, field)
-
-        nb = mesh.num_boundary_dofs
-        c = np.zeros(mesh.num_nodes)
-        c[mesh.boundary_loop] = self.boundary_mass @ np.ones(nb)
-        self._constraint = c
-
-        system = sp.bmat(
-            [[self.stiffness, c[:, None]], [c[None, :], None]],
-            format="csc",
-        )
-        self._lu = spla.splu(system)
+        self._lu = PinnedLU(self.stiffness, order, self._constraint)
 
     def _boundary_load(self, g: np.ndarray) -> np.ndarray:
         b = np.zeros(self.mesh.num_nodes)
@@ -114,9 +222,7 @@ class NeumannSolver:
             raise ValueError(
                 f"boundary datum has nonzero boundary mean ({mean:.3e}); "
                 "the pure-Neumann problem is incompatible")
-        rhs = np.concatenate([self._boundary_load(g), [0.0]])
-        x = self._lu.solve(rhs)
-        return x[:-1]
+        return self._lu.solve(self._boundary_load(g))
 
     def trace(self, u: np.ndarray) -> np.ndarray:
         return u[self.mesh.boundary_loop]
@@ -128,14 +234,6 @@ class NeumannSolver:
     def solve_energy(self, g: np.ndarray) -> tuple[np.ndarray, float]:
         u = self.solve(g)
         return u, self.energy(g, u)
-
-
-def energy(mesh: TriMesh, g: np.ndarray, u: np.ndarray) -> float:
-    """Stored energy of a precomputed solution (free-function form)."""
-    if u.shape[0] != mesh.num_nodes:
-        raise ValueError("solution vector does not match the mesh")
-    mb = boundary_mass_matrix(mesh)
-    return -0.5 * float(g @ (mb @ u[mesh.boundary_loop]))
 
 
 @dataclass
@@ -164,6 +262,9 @@ class CorrectorSolver:
             raise ValueError(
                 f"corrector solver expects a periodic or constant field, "
                 f"got {field.kind!r}")
+        if field.alpha <= 0.0:
+            raise ValueError(f"coefficient field is not coercive "
+                             f"(alpha = {field.alpha})")
         self.mesh = cell_mesh
         self.field = field
         self.reduction = _periodic_reduction(cell_mesh)
@@ -176,17 +277,13 @@ class CorrectorSolver:
         k_full = assemble_stiffness(cell_mesh, field)
         k_red = (self.reduction.T @ k_full @ self.reduction).tocsr()
 
-        # zero cell average via one multiplier; weights = lumped mass
+        # zero cell average; weights = lumped mass
         w_full = np.zeros(cell_mesh.num_nodes)
         np.add.at(w_full, cell_mesh.triangles.ravel(),
                   np.repeat(areas / 3.0, 3))
-        w = self.reduction.T @ w_full
-        system = sp.bmat([[k_red, w[:, None]], [w[None, :], None]],
-                         format="csc")
-        try:
-            self._lu = spla.splu(system)
-        except RuntimeError as exc:  # pragma: no cover - non-coercive input
-            raise ValueError(f"singular corrector assembly: {exc}") from exc
+        n = cell_mesh.n
+        self._lu = PinnedLU(k_red, nested_dissection(n, n, periodic=True),
+                            self.reduction.T @ w_full)
 
     def solve(self, p) -> CorrectorSolution:
         p = np.asarray(p, dtype=float)
@@ -195,19 +292,6 @@ class CorrectorSolver:
         local = -np.einsum("tai,ti->ta", self._grads, ap) * self._areas[:, None]
         f_full = np.zeros(self.mesh.num_nodes)
         np.add.at(f_full, self.mesh.triangles.ravel(), local.ravel())
-        rhs = np.concatenate([self.reduction.T @ f_full, [0.0]])
-        x = self._lu.solve(rhs)
-        reduced = x[:-1]
+        reduced = self._lu.solve(self.reduction.T @ f_full)
         return CorrectorSolution(values=self.reduction @ reduced,
                                  reduced=reduced, direction=p)
-
-
-def solve_corrector(cell_mesh: TriMesh, field: CoefficientField,
-                    p) -> CorrectorSolution:
-    return CorrectorSolver(cell_mesh, field).solve(p)
-
-
-def constant_solver(mesh: TriMesh, m: SymMat) -> NeumannSolver:
-    if not m.is_spd():
-        raise ValueError(f"coefficient {m} is not positive definite")
-    return NeumannSolver(mesh, constant_field(m))

@@ -10,7 +10,7 @@ from effdiff.coefficients import SymMat, constant_field
 from effdiff.mesh import boundary_mass_matrix, build_unit_square_mesh
 from effdiff.modes import RModeOperator, affine_modes, choose_p, \
     compute_r_modes, extreme_eigenpairs, fix_sign, modes_on_mesh
-from effdiff.solver import constant_solver
+from effdiff.solver import NeumannSolver
 
 
 def dense_conjugated_operator(mesh):
@@ -174,7 +174,7 @@ def test_affine_modes_zero_mean_and_count():
 def test_affine_datum_gives_closed_form_solution():
     mesh = build_unit_square_mesh(20)
     abar = SymMat(3.0, 0.8, 2.0)
-    solver = constant_solver(mesh, abar)
+    solver = NeumannSolver(mesh, constant_field(abar))
     basis = affine_modes(mesh)
     # the first mode is the normalized projection of e1 . n; the solve
     # reproduces the affine field x -> (abar^{-1} e1) . x up to scaling

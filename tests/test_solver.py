@@ -7,8 +7,8 @@ from effdiff.mesh import boundary_mass_matrix, build_periodic_cell_mesh, \
     build_unit_square_mesh
 from effdiff.modes import affine_modes
 from effdiff.solver import CorrectorSolver, NeumannSolver, \
-    assemble_stiffness, assemble_volume_mass, constant_solver, \
-    element_gradients, energy, solve_corrector, triangle_geometry
+    assemble_stiffness, assemble_volume_mass, element_gradients, \
+    nested_dissection, triangle_geometry
 
 
 def normal_trace_datum(mesh, direction):
@@ -44,7 +44,7 @@ def test_volume_mass_total_area():
 
 def test_affine_solution_identity_coefficient():
     mesh = build_unit_square_mesh(16)
-    solver = constant_solver(mesh, SymMat.identity())
+    solver = NeumannSolver(mesh, constant_field(SymMat.identity()))
     g = normal_trace_datum(mesh, [1.0, 0.0])
     u = solver.solve(g)
     assert np.abs(u - (mesh.nodes[:, 0] - 0.5)).max() < 1e-9
@@ -54,7 +54,7 @@ def test_affine_solution_identity_coefficient():
 def test_affine_solution_general_constant_matrix():
     mesh = build_unit_square_mesh(12)
     m = SymMat(3.0, 1.0, 2.0)
-    solver = constant_solver(mesh, m)
+    solver = NeumannSolver(mesh, constant_field(m))
     e = np.array([1.0, 0.5])
     g = normal_trace_datum(mesh, e)
     u = solver.solve(g)
@@ -71,15 +71,17 @@ def test_affine_solution_general_constant_matrix():
 def test_energy_scales_inversely_with_coefficient():
     mesh = build_unit_square_mesh(10)
     g = normal_trace_datum(mesh, [0.3, -0.7])
-    e1 = constant_solver(mesh, SymMat.identity()).solve_energy(g)[1]
-    e3 = constant_solver(mesh, SymMat.identity(3.0)).solve_energy(g)[1]
+    e1 = NeumannSolver(mesh, constant_field(SymMat.identity())) \
+        .solve_energy(g)[1]
+    e3 = NeumannSolver(mesh, constant_field(SymMat.identity(3.0))) \
+        .solve_energy(g)[1]
     assert abs(e1 - 3.0 * e3) < 1e-12
     assert e1 < 0.0
 
 
 def test_nonzero_mean_datum_rejected():
     mesh = build_unit_square_mesh(8)
-    solver = constant_solver(mesh, SymMat.identity())
+    solver = NeumannSolver(mesh, constant_field(SymMat.identity()))
     with pytest.raises(ValueError):
         solver.solve(np.ones(mesh.num_boundary_dofs))
 
@@ -109,19 +111,11 @@ def test_discrete_residual_small():
     assert np.linalg.norm(res) < 1e-9 * (1.0 + np.linalg.norm(u))
 
 
-def test_energy_free_function_matches_solver():
-    mesh = build_unit_square_mesh(9)
-    solver = constant_solver(mesh, SymMat(2.0, 0.3, 4.0))
-    g = affine_modes(mesh).modes[1]
-    u = solver.solve(g)
-    assert abs(solver.energy(g, u) - energy(mesh, g, u)) < 1e-14
-
-
 def test_energy_equals_dirichlet_form():
     # -2 E(g) equals the coefficient-weighted gradient square of u
     mesh = build_unit_square_mesh(11)
     m = SymMat(3.0, 0.5, 2.0)
-    solver = constant_solver(mesh, m)
+    solver = NeumannSolver(mesh, constant_field(m))
     g = affine_modes(mesh).modes[0]
     u = solver.solve(g)
     areas, _, _ = triangle_geometry(mesh)
@@ -132,14 +126,14 @@ def test_energy_equals_dirichlet_form():
 
 def test_corrector_constant_field_is_zero():
     cell = build_periodic_cell_mesh(12)
-    sol = solve_corrector(cell, constant_field(SymMat(5.0, 1.0, 3.0)),
-                          [1.0, 0.0])
+    sol = CorrectorSolver(cell, constant_field(SymMat(5.0, 1.0, 3.0))) \
+        .solve([1.0, 0.0])
     assert np.abs(sol.values).max() < 1e-10
 
 
 def test_corrector_zero_cell_average_and_periodicity():
     cell = build_periodic_cell_mesh(24)
-    sol = solve_corrector(cell, periodic_smooth_field(), [0.0, 1.0])
+    sol = CorrectorSolver(cell, periodic_smooth_field()).solve([0.0, 1.0])
     for a, b in cell.periodic_pairs.items():
         assert sol.values[a] == sol.values[b]
     areas, _, _ = triangle_geometry(cell)
@@ -166,4 +160,68 @@ def test_corrector_rejects_nonperiodic_mesh():
 def test_constant_solver_rejects_indefinite():
     mesh = build_unit_square_mesh(4)
     with pytest.raises(ValueError):
-        constant_solver(mesh, SymMat(1.0, 2.0, 1.0))
+        NeumannSolver(mesh, constant_field(SymMat(1.0, 2.0, 1.0)))
+
+
+@pytest.mark.parametrize("nx, ny, periodic", [
+    (7, 7, False), (9, 5, False), (1, 9, False), (9, 1, False),
+    (1, 1, False), (33, 17, False), (6, 6, True), (7, 5, True),
+    (2, 2, True), (24, 24, True)])
+def test_nested_dissection_is_a_permutation(nx, ny, periodic):
+    order = nested_dissection(nx, ny, periodic)
+    assert np.array_equal(np.sort(order), np.arange(nx * ny))
+
+
+def zero_mean_reference(k, weights, b):
+    """Dense solution of K u = b (b made compatible) with weights . u = 0."""
+    ones = np.ones(len(b))
+    b = b - weights * (ones @ b) / (ones @ weights)
+    u = np.linalg.pinv(k) @ b
+    return u - (weights @ u) / (weights @ ones)
+
+
+def test_stiffness_of_constant_field_matches_barycentric_assembly():
+    # a constant coefficient is assembled from the cached unit stiffnesses;
+    # an epsilon-scaled one takes the barycentric path
+    mesh = build_unit_square_mesh(9)
+    m = SymMat(3.0, -0.7, 2.0)
+    fast = assemble_stiffness(mesh, constant_field(m)).toarray()
+    slow = assemble_stiffness(mesh, scale_epsilon(constant_field(m), 0.3))
+    assert np.abs(fast - slow.toarray()).max() <= 1e-12 * np.abs(fast).max()
+
+
+@pytest.mark.parametrize("n", [5, 16])
+def test_pinned_neumann_solve_matches_dense_reference(n):
+    mesh = build_unit_square_mesh(n)
+    solver = NeumannSolver(mesh, sample_checkerboard(n, 0.7))
+    k = solver.stiffness.toarray()
+    c = solver._constraint
+    rng = np.random.default_rng(n)
+    g_free = rng.standard_normal(mesh.num_boundary_dofs)
+    assert abs(c[mesh.boundary_loop] @ g_free) > 1e-3  # nonzero mean
+    data = list(affine_modes(mesh).modes) + [g_free]
+    for g, check in zip(data, [True, True, True, False]):
+        u = solver.solve(g, check_mean=check)
+        ref = zero_mean_reference(k, c, solver._boundary_load(g))
+        assert np.abs(u - ref).max() <= 1e-12 * np.abs(ref).max()
+
+
+@pytest.mark.parametrize("n", [4, 16])
+def test_pinned_corrector_solve_matches_dense_reference(n):
+    cell = build_periodic_cell_mesh(n)
+    field = periodic_smooth_field()
+    solver = CorrectorSolver(cell, field)
+    red = solver.reduction
+    k = (red.T @ assemble_stiffness(cell, field) @ red).toarray()
+    areas, _, _ = triangle_geometry(cell)
+    w_full = np.zeros(cell.num_nodes)
+    np.add.at(w_full, cell.triangles.ravel(), np.repeat(areas / 3.0, 3))
+    for p in ([1.0, 0.0], [0.0, 1.0], [0.6, -0.8]):
+        sol = solver.solve(p)
+        # the load, as CorrectorSolver.solve assembles it
+        ap = np.einsum("tij,j->ti", solver._amat, np.asarray(p))
+        local = -np.einsum("tai,ti->ta", solver._grads, ap) * areas[:, None]
+        f_full = np.zeros(cell.num_nodes)
+        np.add.at(f_full, cell.triangles.ravel(), local.ravel())
+        ref = zero_mean_reference(k, red.T @ w_full, red.T @ f_full)
+        assert np.abs(sol.reduced - ref).max() <= 1e-12 * np.abs(ref).max()
