@@ -8,8 +8,8 @@ import effdiff.modes as modes_module
 
 from effdiff.coefficients import SymMat, constant_field
 from effdiff.mesh import boundary_mass_matrix, build_unit_square_mesh
-from effdiff.modes import RModeOperator, affine_modes, choose_p, \
-    compute_r_modes, extreme_eigenpairs, fix_sign, modes_on_mesh
+from effdiff.modes import EigensolverError, RModeOperator, affine_modes, \
+    choose_p, compute_r_modes, extreme_eigenpairs, fix_sign, modes_on_mesh
 from effdiff.solver import NeumannSolver
 
 
@@ -137,6 +137,18 @@ def test_r_modes_independent_of_start_vector(monkeypatch):
         bases.append(compute_r_modes(mesh, 6))
     assert np.abs(bases[0].modes - bases[1].modes).max() <= 1e-8
     assert np.abs(bases[0].eigenvalues - bases[1].eigenvalues).max() <= 1e-8
+
+
+def test_cluster_the_reflection_cannot_split_is_an_error():
+    # modes 0 and 2 are both even under (x, y) -> (y, x); posing them as
+    # one cluster leaves the basis undetermined
+    mesh = build_unit_square_mesh(16)
+    basis = compute_r_modes(mesh, 3)
+    nb = mesh.num_boundary_dofs
+    with pytest.raises(EigensolverError):
+        modes_module._reflect_clusters(
+            basis.modes[[0, 2]], np.array([1.0, 1.0]),
+            boundary_mass_matrix(mesh), (-np.arange(nb)) % nb)
 
 
 def test_too_many_modes_rejected():
