@@ -27,13 +27,12 @@ from .coefficients import SymMat, mean_over_cell, periodic_smooth_field, \
     sample_checkerboard, scale_epsilon
 from .homogenization import checkerboard_exact, homogenized_matrix
 from .identify import CoarseModel, Measurements, NoiseSpec, \
-    apply_measurement_noise, identify, mean_measurements, \
-    simulate_measurements
-from .mesh import TriMesh, build_periodic_cell_mesh, build_unit_square_mesh, \
-    interpolate_nodal
+    OptimizerTrace, apply_measurement_noise, identify, mean_measurements, \
+    simulate_measurements, volume_setup
+from .mesh import TriMesh, build_periodic_cell_mesh, build_unit_square_mesh
+from .mesh import interpolate_nodal  # noqa: F401  (bench/child.py wraps it)
 from .modes import ModeBasis, affine_modes, choose_p, compute_r_modes, \
     modes_on_mesh
-from .solver import assemble_volume_mass
 
 CSV_COLUMNS = ["experiment", "strategy", "epsilon", "P", "Q", "r", "seed",
                "a11", "a12", "a22", "err_star", "err_eps_q", "psi_final",
@@ -110,19 +109,11 @@ def err_eps_q(abar: SymMat, meas: Measurements, coarse_mesh: TriMesh,
     of the difference Gram against the measured-field Gram; the candidate
     solution is interpolated onto the measurement mesh.
     """
-    if meas.volume_fields is None or meas.mesh is None:
-        raise ValueError("operator error metric needs recorded volume fields")
+    interp, mass = volume_setup(meas, coarse_mesh)
     if coarse_basis is None:
         coarse_basis = modes_on_mesh(meas.basis, meas.mesh, coarse_mesh)
-    coarse = CoarseModel(coarse_mesh, coarse_basis).evaluate(
-        abar, need_grads=False)
-
-    mass = assemble_volume_mass(meas.mesh)
-    diffs = np.empty_like(meas.volume_fields)
-    for k in range(meas.count):
-        ubar = interpolate_nodal(coarse_mesh, coarse.values[k],
-                                 meas.mesh.nodes)
-        diffs[k] = meas.volume_fields[k] - ubar
+    coarse = CoarseModel(coarse_mesh, coarse_basis).evaluate(abar)
+    diffs = meas.volume_fields - (interp @ coarse.values.T).T
     d = diffs @ (mass @ diffs.T)
     nmat = meas.volume_fields @ (mass @ meas.volume_fields.T)
 
@@ -248,6 +239,14 @@ def _record(experiment: str, strategy: str, eps: float, p: int, q: int | None,
     return rec
 
 
+def _descent_fields(trace: OptimizerTrace | None) -> dict:
+    """How the descent behind a record stopped (None without a descent)."""
+    if trace is None:
+        return {"termination": None, "grad_norm": None}
+    return {"termination": trace.termination,
+            "grad_norm": trace.gradient_norms[-1]}
+
+
 @lru_cache(maxsize=None)
 def periodic_reference(cell_n: int = 512) -> SymMat:
     """Homogenized matrix of the periodic test field; one corrector solve
@@ -289,6 +288,7 @@ def identify_periodic(eps: float, r: float = 20.0, p: int | None = None,
     if a_star is None:
         a_star = periodic_reference()
 
+    trace = None
     if strategy == "A_star":
         abar, psi, iters = a_star, None, None
     else:
@@ -307,7 +307,8 @@ def identify_periodic(eps: float, r: float = 20.0, p: int | None = None,
     wall = 1000.0 * (time.perf_counter() - t0)
     return _record("identify_periodic", strategy, eps, p, q, r, None, abar,
                    err_star(abar, a_star), erre, psi, iters, wall,
-                   extra={"energies": [float(e) for e in meas_q.energies]})
+                   extra={"energies": [float(e) for e in meas_q.energies],
+                          **_descent_fields(trace)})
 
 
 def _checkerboard_batch(eps: float, q: int, r: float, m1: int,
@@ -345,6 +346,7 @@ def identify_checkerboard(eps: float, r: float = 10.0, p: int = 3,
     coarse = build_unit_square_mesh(coarse_mesh_n(coarse_h))
     a_star = checkerboard_exact().matrix
 
+    trace = None
     if strategy == "A_star":
         abar, psi, iters = a_star, None, None
     else:
@@ -360,7 +362,8 @@ def identify_checkerboard(eps: float, r: float = 10.0, p: int = 3,
                    base_seed, abar, err_star(abar, a_star), erre, psi,
                    iters, wall,
                    extra={"M1": m1,
-                          "energies": [float(e) for e in mean_q.energies]})
+                          "energies": [float(e) for e in mean_q.energies],
+                          **_descent_fields(trace)})
 
 
 # ---------------------------------------------------------------------------
@@ -392,7 +395,8 @@ def measurement_noise_study(eps: float = 0.05, r: float = 20.0,
                        clean.final, None, None,
                        clean.objective_values[-1], clean.iterations,
                        1000.0 * (time.perf_counter() - t0),
-                       extra={"sigma": 0.0, "rel_coeff_error": 0.0})]
+                       extra={"sigma": 0.0, "rel_coeff_error": 0.0,
+                              **_descent_fields(clean)})]
     for sigma in sigmas:
         for k in range(draws):
             t0 = time.perf_counter()
@@ -407,7 +411,8 @@ def measurement_noise_study(eps: float = 0.05, r: float = 20.0,
                 f"noise_measurement:sigma={sigma}", "ME", eps, p, None, r,
                 seed, trace.final, None, None, trace.objective_values[-1],
                 trace.iterations, 1000.0 * (time.perf_counter() - t0),
-                extra={"sigma": sigma, "rel_coeff_error": rel}))
+                extra={"sigma": sigma, "rel_coeff_error": rel,
+                       **_descent_fields(trace)}))
     return records
 
 
@@ -431,7 +436,8 @@ def coefficient_noise_study(eps: float = 0.05, r: float = 20.0,
                        clean.final, None, None,
                        clean.objective_values[-1], clean.iterations,
                        1000.0 * (time.perf_counter() - t0),
-                       extra={"sigma": 0.0, "rel_coeff_error": 0.0})]
+                       extra={"sigma": 0.0, "rel_coeff_error": 0.0,
+                              **_descent_fields(clean)})]
     t0 = time.perf_counter()
     spec = NoiseSpec(kind="coefficient", sigma=sigma, draws=m1,
                      seed=base_seed)
@@ -443,7 +449,8 @@ def coefficient_noise_study(eps: float = 0.05, r: float = 20.0,
         f"noise_coefficient:sigma={sigma}", "ME", eps, p, None, r,
         base_seed, trace.final, None, None, trace.objective_values[-1],
         trace.iterations, 1000.0 * (time.perf_counter() - t0),
-        extra={"sigma": sigma, "M1": m1, "rel_coeff_error": rel}))
+        extra={"sigma": sigma, "M1": m1, "rel_coeff_error": rel,
+               **_descent_fields(trace)}))
     return records
 
 

@@ -3,12 +3,14 @@
 The observables are stored energies of pure-Neumann solves against a small
 family of boundary conditions.  The engine minimizes the mismatch between
 measured energies and those of a constant-coefficient surrogate on a coarse
-mesh, by Armijo gradient descent with an adjoint gradient.  Baseline
-objectives built from boundary traces (surface measurements) and from full
-volume fields are included for comparison, with finite-difference
-gradients.  Two noise mechanisms are implemented: multiplicative noise on
-the measured energies, and additive random perturbations of the candidate
-matrix inside the surrogate solves.
+mesh, by Armijo gradient descent.  Baseline objectives built from boundary
+traces (surface measurements) and from full volume fields are included for
+comparison.  Every objective has an exact adjoint gradient: the surrogate
+stiffness is a11 K11 + a12 K12 + a22 K22, so its derivative in an entry is
+a unit stiffness, and each objective only supplies its adjoint states.  Two
+noise mechanisms are implemented: multiplicative noise on the measured
+energies, and additive random perturbations of the candidate matrix inside
+the surrogate solves.
 """
 
 from __future__ import annotations
@@ -23,9 +25,10 @@ import scipy.linalg as sla
 
 from .coefficients import CoefficientField, SymMat, constant_field
 from .mesh import TriMesh, boundary_mass_matrix, interpolate_boundary, \
-    interpolate_nodal, zero_mean_project
+    interpolation_matrix, zero_mean_project
+from .mesh import interpolate_nodal  # noqa: F401  (bench/child.py wraps it)
 from .modes import ModeBasis, extreme_eigenpairs, fix_sign, modes_on_mesh
-from .solver import NeumannSolver, assemble_volume_mass, triangle_geometry
+from .solver import NeumannSolver, assemble_volume_mass, unit_stiffnesses
 
 
 # ---------------------------------------------------------------------------
@@ -149,7 +152,22 @@ class CoarseEvaluation:
     energies: np.ndarray       # (P,)
     traces: np.ndarray         # (P, nb)
     values: np.ndarray         # (P, num_nodes)
-    grad_tensor: np.ndarray | None  # (P, P, 2, 2) volume gradient Grams
+    solver: NeumannSolver      # the candidate's factorization
+
+    def sensitivity(self, z: np.ndarray,
+                    u: np.ndarray | None = None) -> np.ndarray:
+        """[sum_k z_k.K11 u_k, sum_k z_k.K12 u_k, sum_k z_k.K22 u_k].
+
+        The surrogate stiffness is a11 K11 + a12 K12 + a22 K22, so its
+        derivative in each entry is a unit stiffness, and the derivative of
+        a solution is u' = -K^+ K_ij u.  An objective's gradient is this
+        form of its adjoint states z against the solutions u (default: the
+        evaluated ones), times its chain-rule factor.
+        """
+        z = np.atleast_2d(z)
+        u = self.values if u is None else np.atleast_2d(u)
+        return np.array([np.vdot(z, (k @ u.T).T)
+                         for k in unit_stiffnesses(self.solver.mesh.n)])
 
 
 class CoarseModel:
@@ -164,43 +182,26 @@ class CoarseModel:
             raise ValueError("mode basis does not live on the coarse mesh")
         self.mesh = coarse_mesh
         self.basis = basis
-        self._areas, self._grads, _ = triangle_geometry(coarse_mesh)
 
-    def evaluate(self, abar: SymMat,
-                 need_grads: bool = True) -> CoarseEvaluation:
+    def evaluate(self, abar: SymMat) -> CoarseEvaluation:
         if not abar.is_spd():
             raise ValueError(f"candidate {abar} is not positive definite")
         solver = NeumannSolver(self.mesh, constant_field(abar))
         p = self.basis.count
         energies = np.empty(p)
-        traces = np.empty((p, self.mesh.num_boundary_dofs))
         values = np.empty((p, self.mesh.num_nodes))
-        grads = np.empty((p, self._areas.shape[0], 2))
         for k in range(p):
-            u = solver.solve(self.basis.modes[k], check_mean=False)
-            values[k] = u
-            traces[k] = solver.trace(u)
-            energies[k] = solver.energy(self.basis.modes[k], u)
-            grads[k] = np.einsum("tki,tk->ti", self._grads,
-                                 u[self.mesh.triangles])
-        tensor = None
-        if need_grads:
-            tensor = np.einsum("pti,qtj,t->pqij", grads, grads, self._areas)
-        return CoarseEvaluation(abar=abar, energies=energies, traces=traces,
-                                values=values, grad_tensor=tensor)
-
-
-def coarse_energies(abar: SymMat, basis: ModeBasis,
-                    coarse_mesh: TriMesh) -> CoarseEvaluation:
-    """Energies and fields of the surrogate for one candidate matrix."""
-    return CoarseModel(coarse_mesh, basis).evaluate(abar, need_grads=False)
+            values[k] = solver.solve(self.basis.modes[k], check_mean=False)
+            energies[k] = solver.energy(self.basis.modes[k], values[k])
+        return CoarseEvaluation(abar=abar, energies=energies,
+                                traces=values[:, self.mesh.boundary_loop],
+                                values=values, solver=solver)
 
 
 # ---------------------------------------------------------------------------
 # objectives
 
 def assemble_m(meas: Measurements, coarse: CoarseEvaluation,
-               coarse_mesh: TriMesh,
                coarse_basis: ModeBasis) -> tuple[np.ndarray, bool]:
     """The P x P mismatch matrix; (matrix, diagonal_only) pair.
 
@@ -210,11 +211,11 @@ def assemble_m(meas: Measurements, coarse: CoarseEvaluation,
     transpose.  Without a measured cross table only the diagonal is
     available (from energies alone) and the flag is set.
     """
-    mb = boundary_mass_matrix(coarse_mesh)
-    s_coarse = coarse_basis.modes @ (mb @ coarse.traces.T)  # (q, p)
     if meas.cross is None:
         delta = meas.energies - coarse.energies
         return np.diag(-delta), True
+    mb = coarse.solver.boundary_mass
+    s_coarse = coarse_basis.modes @ (mb @ coarse.traces.T)  # (q, p)
     m = 0.5 * (meas.cross.T - s_coarse)
     return 0.5 * (m + m.T), False
 
@@ -239,46 +240,6 @@ def psi_sigma_value(meas: Measurements, coarse: CoarseEvaluation) -> float:
     return float(delta @ delta)
 
 
-def _pack_gradient(tensor_ij: np.ndarray) -> np.ndarray:
-    """(2,2) symmetric derivative tensor -> gradient over (a11,a12,a22).
-
-    The off-diagonal derivative doubles because a12 moves both symmetric
-    entries at once.
-    """
-    return np.array([tensor_ij[0, 0],
-                     tensor_ij[0, 1] + tensor_ij[1, 0],
-                     tensor_ij[1, 1]])
-
-
-def psi_sigma_gradient(meas: Measurements,
-                       coarse: CoarseEvaluation) -> np.ndarray:
-    """Adjoint gradient of the energy-mismatch sum of squares.
-
-    The energy of the surrogate solve depends on the candidate matrix only
-    through the quadratic form of the solution gradient; differentiating
-    the constrained energy gives d E / d a_ij = (1 - delta_ij/2) *
-    integral of (du/dx_i)(du/dx_j), and the chain rule through the squared
-    mismatch supplies the factor -2 * (measured - surrogate energy).
-    """
-    delta = meas.energies - coarse.energies
-    tensor = np.einsum("p,ppij->ij", delta, coarse.grad_tensor)
-    return -_pack_gradient(tensor)
-
-
-def psi_max_gradient(lam: float, argmax: np.ndarray,
-                     coarse: CoarseEvaluation) -> np.ndarray:
-    """Gradient of the squared extreme eigenvalue at a simple eigenvalue.
-
-    `lam` is the signed extreme eigenvalue.  Only the surrogate part of
-    the mismatch matrix depends on the candidate, and its Rayleigh
-    quotient at the (frozen) extreme eigenvector is an energy of the
-    combined datum, so the same energy derivative applies to the linear
-    combination of solutions.
-    """
-    tensor = np.einsum("p,q,pqij->ij", argmax, argmax, coarse.grad_tensor)
-    return lam * _pack_gradient(tensor)
-
-
 def fd_gradient(fn: Callable[[SymMat], float], abar: SymMat,
                 rel_step: float = 1e-6) -> np.ndarray:
     """Central finite differences over the three symmetric entries."""
@@ -293,75 +254,75 @@ def fd_gradient(fn: Callable[[SymMat], float], abar: SymMat,
     return out
 
 
+def _energy_mismatch(meas: Measurements, model: CoarseModel,
+                    candidates: Sequence[SymMat]) -> tuple[float, np.ndarray]:
+    """Squared gap between the measured energies and the mean surrogate
+    energies over `candidates`, and its gradient.
+
+    The candidates are the point itself or the point plus fixed offsets,
+    so the gradient in the point is the mean over the candidates.  A
+    surrogate energy is E = -b.K^+ b / 2 for the mode's load b, so
+    dE/da_ij = u.K_ij u / 2, and the chain rule through the squared gap
+    delta supplies -2 delta: the adjoint state of mode p is delta_p u_p.
+    """
+    coarse = [model.evaluate(c) for c in candidates]
+    delta = meas.energies - sum(c.energies for c in coarse) / len(coarse)
+    grad = sum(c.sensitivity(delta[:, None] * c.values) for c in coarse)
+    return float(delta @ delta), -grad / len(coarse)
+
+
 # ---------------------------------------------------------------------------
 # trace / volume baselines
 
-def objective_ms(abar_or_eval, meas: Measurements, coarse_mesh: TriMesh,
-                 coarse_basis: ModeBasis,
-                 model: CoarseModel | None = None) -> float:
+def _measured_traces(meas: Measurements, coarse_mesh: TriMesh) -> np.ndarray:
+    """Measured traces carried to the coarse boundary by arclength
+    interpolation, with their boundary mean removed; shape (P, nb)."""
+    if meas.boundary_traces is None or meas.mesh is None:
+        raise ValueError("surface objective needs recorded boundary traces")
+    mb = boundary_mass_matrix(coarse_mesh)
+    return np.array([zero_mean_project(
+        coarse_mesh, mb, interpolate_boundary(meas.mesh, t, coarse_mesh))
+        for t in meas.boundary_traces])
+
+
+def volume_setup(meas: Measurements, coarse_mesh: TriMesh):
+    """Interpolation of coarse nodal fields onto the measurement mesh and
+    that mesh's volume mass matrix: (I, M)."""
+    if meas.volume_fields is None or meas.mesh is None:
+        raise ValueError("volume mismatch needs recorded volume fields")
+    return (interpolation_matrix(coarse_mesh, meas.mesh.nodes),
+            assemble_volume_mass(meas.mesh))
+
+
+def _largest_root(gram: np.ndarray) -> float:
+    return float(math.sqrt(max(sla.eigvalsh(gram)[-1], 0.0)))
+
+
+def objective_ms(abar: SymMat, meas: Measurements, coarse_mesh: TriMesh,
+                 coarse_basis: ModeBasis) -> float:
     """Worst-case boundary-trace mismatch over unit mode combinations.
 
     Computed as the square root of the largest eigenvalue of the boundary
     Gram matrix of trace differences, with the measured traces carried to
     the coarse boundary by arclength interpolation.
     """
-    gram = _ms_gram(abar_or_eval, meas, coarse_mesh, coarse_basis, model)
-    return float(math.sqrt(max(sla.eigvalsh(gram)[-1], 0.0)))
+    measured = _measured_traces(meas, coarse_mesh)
+    coarse = CoarseModel(coarse_mesh, coarse_basis).evaluate(abar)
+    diffs = measured - coarse.traces
+    return _largest_root(diffs @ (coarse.solver.boundary_mass @ diffs.T))
 
 
-def _ms_gram(abar_or_eval, meas, coarse_mesh, coarse_basis, model=None):
-    """Boundary Gram matrix of trace differences over the mode family."""
-    if meas.boundary_traces is None or meas.mesh is None:
-        raise ValueError("surface objective needs recorded boundary traces")
-    if isinstance(abar_or_eval, CoarseEvaluation):
-        coarse = abar_or_eval
-    else:
-        model = model or CoarseModel(coarse_mesh, coarse_basis)
-        coarse = model.evaluate(abar_or_eval, need_grads=False)
-    mb = boundary_mass_matrix(coarse_mesh)
-    diffs = np.empty_like(coarse.traces)
-    for k in range(meas.count):
-        t = interpolate_boundary(meas.mesh, meas.boundary_traces[k],
-                                 coarse_mesh)
-        diffs[k] = zero_mean_project(coarse_mesh, mb, t) - coarse.traces[k]
-    return diffs @ (mb @ diffs.T)
-
-
-def objective_mv(abar_or_eval, meas: Measurements, coarse_mesh: TriMesh,
-                 coarse_basis: ModeBasis,
-                 model: CoarseModel | None = None,
-                 _cache: dict | None = None) -> float:
+def objective_mv(abar: SymMat, meas: Measurements, coarse_mesh: TriMesh,
+                 coarse_basis: ModeBasis) -> float:
     """Worst-case volume mismatch over unit mode combinations.
 
     The surrogate solution is interpolated to the measurement mesh and the
     Gram matrix taken in the volume inner product there.
     """
-    gram = _mv_gram(abar_or_eval, meas, coarse_mesh, coarse_basis, model,
-                    _cache)
-    return float(math.sqrt(max(sla.eigvalsh(gram)[-1], 0.0)))
-
-
-def _mv_gram(abar_or_eval, meas, coarse_mesh, coarse_basis, model=None,
-             _cache=None):
-    """Volume Gram matrix of field differences over the mode family."""
-    if meas.volume_fields is None or meas.mesh is None:
-        raise ValueError("volume objective needs recorded volume fields")
-    if isinstance(abar_or_eval, CoarseEvaluation):
-        coarse = abar_or_eval
-    else:
-        model = model or CoarseModel(coarse_mesh, coarse_basis)
-        coarse = model.evaluate(abar_or_eval, need_grads=False)
-    mass = None if _cache is None else _cache.get("mass")
-    if mass is None:
-        mass = assemble_volume_mass(meas.mesh)
-        if _cache is not None:
-            _cache["mass"] = mass
-    diffs = np.empty_like(meas.volume_fields)
-    for k in range(meas.count):
-        ubar = interpolate_nodal(coarse_mesh, coarse.values[k],
-                                 meas.mesh.nodes)
-        diffs[k] = meas.volume_fields[k] - ubar
-    return diffs @ (mass @ diffs.T)
+    interp, mass = volume_setup(meas, coarse_mesh)
+    coarse = CoarseModel(coarse_mesh, coarse_basis).evaluate(abar)
+    diffs = meas.volume_fields - (interp @ coarse.values.T).T
+    return _largest_root(diffs @ (mass @ diffs.T))
 
 
 # ---------------------------------------------------------------------------
@@ -406,8 +367,9 @@ def draw_matrix_perturbations(abar: SymMat, spec: NoiseSpec,
                               max_factor: int = 50):
     """Seeded Gaussian perturbations of the candidate, resampled to SPD.
 
-    The same seed always produces the same accepted sequence for nearby
-    candidates, which keeps finite-difference gradients consistent.
+    Each draw is the candidate plus a fixed seeded offset, and the same
+    seed accepts the same offsets for nearby candidates, so the noisy
+    objective is a smooth function of the candidate with an exact gradient.
     Returns (list of SymMat, rejection count).
     """
     rng = np.random.default_rng(spec.seed)
@@ -433,9 +395,10 @@ def draw_matrix_perturbations(abar: SymMat, spec: NoiseSpec,
 
 
 def coefficient_noise_objective(abar: SymMat, meas: Measurements,
-                                spec: NoiseSpec,
-                                model: CoarseModel) -> float:
-    """Energy mismatch against the mean surrogate energy over noisy draws.
+                                spec: NoiseSpec, model: CoarseModel
+                                ) -> tuple[float, np.ndarray]:
+    """Energy mismatch against the mean surrogate energy over noisy draws,
+    with its exact gradient.
 
     The expectation over matrix perturbations sits inside the squared
     difference; it is approximated by the mean over `draws` seeded
@@ -443,15 +406,9 @@ def coefficient_noise_objective(abar: SymMat, meas: Measurements,
     """
     if spec.kind != "coefficient":
         raise ValueError("expected a coefficient-noise spec")
-    if spec.sigma == 0.0:
-        coarse = model.evaluate(abar, need_grads=False)
-        return psi_sigma_value(meas, coarse)
-    draws, _ = draw_matrix_perturbations(abar, spec)
-    acc = np.zeros(meas.count)
-    for cand in draws:
-        acc += model.evaluate(cand, need_grads=False).energies
-    delta = meas.energies - acc / len(draws)
-    return float(delta @ delta)
+    draws = [abar] if spec.sigma == 0.0 \
+        else draw_matrix_perturbations(abar, spec)[0]
+    return _energy_mismatch(meas, model, draws)
 
 
 # --- one-dimensional analog with an analytic optimum ----------------------
@@ -592,11 +549,15 @@ def make_objective(meas: Measurements, coarse_mesh: TriMesh,
                    noise: NoiseSpec | None = None,
                    coarse_basis: ModeBasis | None = None
                    ) -> Callable[[SymMat], tuple[float, np.ndarray]]:
-    """Bundle an objective with its gradient for the descent loop.
+    """Bundle an objective with its exact gradient for the descent loop.
 
-    `psi_sigma` and `psi_max` use the adjoint gradient; the `ms` / `mv`
-    baselines and the coefficient-noise objective use central finite
-    differences over the three matrix entries.
+    Every objective is differentiated through the surrogate stiffness
+    a11 K11 + a12 K12 + a22 K22 (``CoarseEvaluation.sensitivity``), so a
+    call costs one surrogate evaluation (one per draw under coefficient
+    noise) plus, for ``ms`` and ``mv``, P adjoint solves on its
+    factorization.  Work that does not depend on the candidate (measured
+    traces on the coarse boundary, the fine-mesh interpolation and mass
+    matrix) is done here, once.
     """
     if coarse_basis is None:
         if meas.mesh is not None:
@@ -609,50 +570,56 @@ def make_objective(meas: Measurements, coarse_mesh: TriMesh,
     model = CoarseModel(coarse_mesh, coarse_basis)
 
     if noise is not None and noise.kind == "coefficient":
-        def value(abar):
-            return coefficient_noise_objective(abar, meas, noise, model)
-
         def fn(abar):
-            return value(abar), fd_gradient(value, abar)
+            return coefficient_noise_objective(abar, meas, noise, model)
         return fn
 
     if kind == "psi_sigma":
         def fn(abar):
-            coarse = model.evaluate(abar)
-            return (psi_sigma_value(meas, coarse),
-                    psi_sigma_gradient(meas, coarse))
+            return _energy_mismatch(meas, model, [abar])
         return fn
     if kind == "psi_max":
         def fn(abar):
             coarse = model.evaluate(abar)
-            m, diag_only = assemble_m(meas, coarse, coarse_mesh, coarse_basis)
+            m, _ = assemble_m(meas, coarse, coarse_basis)
             lam_sq, v = psi_max_from_m(m)
+            # at the frozen extreme eigenvector, the surrogate part of v.M v
+            # is the energy of the combined solution w = sum_p v_p u_p
             lam = float(v @ (m @ v))
-            return lam_sq, psi_max_gradient(lam, v, coarse)
+            w = v @ coarse.values
+            return lam_sq, lam * coarse.sensitivity(w, w)
         return fn
     # The ms / mv descents minimize the trace of the mismatch Gram (the sum
     # of squared per-mode norms) rather than its largest eigenvalue: this is
     # the same sup -> sum-of-squares surrogate the energy strategy uses, it
     # is smooth where the worst-case form has eigenvalue-crossing kinks, and
     # at desk scale the worst-case descent stalls on a minimizer visibly
-    # biased by the sampled worst direction.
+    # biased by the sampled worst direction.  With residuals d_k, the
+    # adjoint state of mode k solves K z_k = (the residual's load), and the
+    # gradient is 2 sum_k z_k.K_ij u_k.
     if kind == "ms":
-        def value(abar):
-            return float(np.trace(_ms_gram(abar, meas, coarse_mesh,
-                                           coarse_basis, model)))
-    elif kind == "mv":
-        cache: dict = {}
+        measured = _measured_traces(meas, coarse_mesh)
 
-        def value(abar):
-            return float(np.trace(_mv_gram(abar, meas, coarse_mesh,
-                                           coarse_basis, model,
-                                           _cache=cache)))
-    else:
-        raise ValueError(f"unknown objective kind {kind!r}")
+        def fn(abar):
+            coarse = model.evaluate(abar)
+            diffs = measured - coarse.traces
+            gram = diffs @ (coarse.solver.boundary_mass @ diffs.T)
+            z = [coarse.solver.solve(d, check_mean=False) for d in diffs]
+            return float(np.trace(gram)), 2.0 * coarse.sensitivity(z)
+        return fn
+    if kind == "mv":
+        interp, mass = volume_setup(meas, coarse_mesh)
 
-    def fn(abar):
-        return value(abar), fd_gradient(value, abar)
-    return fn
+        def fn(abar):
+            coarse = model.evaluate(abar)
+            diffs = meas.volume_fields - (interp @ coarse.values.T).T
+            weighted = mass @ diffs.T
+            loads = (interp.T @ weighted).T
+            z = [coarse.solver.solve_load(b) for b in loads]
+            return (float(np.trace(diffs @ weighted)),
+                    2.0 * coarse.sensitivity(z))
+        return fn
+    raise ValueError(f"unknown objective kind {kind!r}")
 
 
 def identify(meas: Measurements, coarse_mesh: TriMesh, init: SymMat,

@@ -180,9 +180,12 @@ def zero_mean_project(mesh: TriMesh, mass: sp.csr_matrix,
     return g - (w @ g) / (w @ ones)
 
 
-def interpolate_nodal(mesh: TriMesh, values: np.ndarray,
-                      points: np.ndarray) -> np.ndarray:
-    """Evaluate a P1 nodal field of a structured mesh at arbitrary points."""
+def interpolation_matrix(mesh: TriMesh, points: np.ndarray) -> sp.csr_matrix:
+    """P1 interpolation from the nodes of a structured mesh to points.
+
+    Row k holds the barycentric weights of point k in its triangle, three
+    entries that sum to 1; points outside the square are clamped onto it.
+    """
     n = mesh.n
     pts = np.atleast_2d(points)
     x = np.clip(pts[:, 0], 0.0, 1.0) * n
@@ -192,14 +195,26 @@ def interpolate_nodal(mesh: TriMesh, values: np.ndarray,
     xi = x - i
     eta = y - j
 
-    v00 = values[i + j * (n + 1)]
-    v10 = values[i + 1 + j * (n + 1)]
-    v01 = values[i + (j + 1) * (n + 1)]
-    v11 = values[i + 1 + (j + 1) * (n + 1)]
+    v00 = i + j * (n + 1)
+    v11 = v00 + n + 2
+    # lower triangle (v00, v10, v11) when xi >= eta, else (v00, v11, v01)
+    lower = xi >= eta
+    third = np.where(lower, v00 + 1, v00 + n + 1)
+    cols = np.column_stack([v00, v11, third])
+    weights = np.column_stack([
+        1.0 - np.where(lower, xi, eta),
+        np.where(lower, eta, xi),
+        np.abs(xi - eta),
+    ])
+    rows = np.repeat(np.arange(pts.shape[0]), 3)
+    return sp.csr_matrix((weights.ravel(), (rows, cols.ravel())),
+                         shape=(pts.shape[0], mesh.num_nodes))
 
-    lower = v00 + xi * (v10 - v00) + eta * (v11 - v10)
-    upper = v00 + xi * (v11 - v01) + eta * (v01 - v00)
-    return np.where(xi >= eta, lower, upper)
+
+def interpolate_nodal(mesh: TriMesh, values: np.ndarray,
+                      points: np.ndarray) -> np.ndarray:
+    """Evaluate a P1 nodal field of a structured mesh at arbitrary points."""
+    return interpolation_matrix(mesh, points) @ values
 
 
 def interpolate_boundary(mesh_from: TriMesh, values: np.ndarray,

@@ -66,8 +66,9 @@ def _assemble(mesh: TriMesh, amat: np.ndarray, areas: np.ndarray,
 
 
 @functools.lru_cache(maxsize=2)
-def _unit_stiffnesses(n: int) -> tuple[sp.csr_matrix, ...]:
-    """Stiffnesses of the coefficients E11, E12 + E21 and E22 on the n-grid."""
+def unit_stiffnesses(n: int) -> tuple[sp.csr_matrix, ...]:
+    """Stiffnesses K11, K12, K22 of the coefficients E11, E12 + E21 and E22
+    on the n-grid; a constant A has a11 K11 + a12 K12 + a22 K22."""
     mesh = build_unit_square_mesh(n)
     areas, grads, _ = triangle_geometry(mesh)
     units = ([[1.0, 0.0], [0.0, 0.0]], [[0.0, 1.0], [1.0, 0.0]],
@@ -84,7 +85,7 @@ def assemble_stiffness(mesh: TriMesh, field: CoefficientField) -> sp.csr_matrix:
     """
     if field.kind == "constant":
         a = field(np.zeros((1, 2)))[0]
-        k11, k12, k22 = _unit_stiffnesses(mesh.n)
+        k11, k12, k22 = unit_stiffnesses(mesh.n)
         return a[0, 0] * k11 + a[0, 1] * k12 + a[1, 1] * k22
     areas, grads, bary = triangle_geometry(mesh)
     return _assemble(mesh, field(bary), areas, grads)
@@ -222,7 +223,15 @@ class NeumannSolver:
             raise ValueError(
                 f"boundary datum has nonzero boundary mean ({mean:.3e}); "
                 "the pure-Neumann problem is incompatible")
-        return self._lu.solve(self._boundary_load(g))
+        return self.solve_load(self._boundary_load(g))
+
+    def solve_load(self, b: np.ndarray) -> np.ndarray:
+        """Nodal solution with zero boundary mean for a nodal load b.
+
+        The load's constant component is removed first, so the map is the
+        symmetric pseudo-inverse of the stiffness on that space.
+        """
+        return self._lu.solve(b)
 
     def trace(self, u: np.ndarray) -> np.ndarray:
         return u[self.mesh.boundary_loop]

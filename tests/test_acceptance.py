@@ -125,8 +125,8 @@ def test_07_adjoint_gradients(small_periodic_setup, coarse_mesh):
             while checked < 10:
                 at = random_spd(rng, lo=5.0, hi=35.0)
                 if kind == "psi_max":
-                    coarse = model.evaluate(at, need_grads=False)
-                    m, _ = assemble_m(meas, coarse, coarse_mesh, cb)
+                    coarse = model.evaluate(at)
+                    m, _ = assemble_m(meas, coarse, cb)
                     ev = np.sort(np.abs(np.linalg.eigvalsh(m)))
                     if ev[-1] - ev[-2] < 1e-3 * ev[-1]:
                         continue

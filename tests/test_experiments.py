@@ -74,7 +74,7 @@ def test_err_eps_q_is_max_over_sampled_ratios():
     from effdiff.identify import CoarseModel
     from effdiff.mesh import interpolate_nodal
     from effdiff.solver import assemble_volume_mass
-    coarse = CoarseModel(mesh, basis).evaluate(at, need_grads=False)
+    coarse = CoarseModel(mesh, basis).evaluate(at)
     mass = assemble_volume_mass(mesh)
     diffs = np.array([meas.volume_fields[k]
                       - interpolate_nodal(mesh, coarse.values[k], mesh.nodes)
@@ -278,6 +278,25 @@ def test_sweep_workers_match_serial_and_simulate_once(monkeypatch):
     calls.clear()
     assert run(2) == serial
     assert len(calls) == 2   # one measurement set per epsilon
+
+
+def test_records_report_how_the_descent_stopped(tmp_path):
+    records = sweep([0.25], ["ME", "A_star"], r=4.0, q=5, coarse_h=0.2)
+    records += experiments.measurement_noise_study(
+        eps=0.25, r=4.0, p=3, sigmas=(0.05,), draws=1, coarse_h=0.2)
+    records += experiments.coefficient_noise_study(
+        eps=0.25, r=4.0, p=3, sigma=0.5, m1=2, coarse_h=0.2)
+    write_csv(records, str(tmp_path / "out.csv"))
+    write_json(records, str(tmp_path / "out.json"))
+    with open(tmp_path / "out.csv", newline="") as fh:
+        assert next(csv.reader(fh)) == list(CSV_COLUMNS)
+    doc = json.loads((tmp_path / "out.json").read_text())["records"]
+    assert doc[1]["strategy"] == "A_star"
+    assert doc[1]["termination"] is None and doc[1]["grad_norm"] is None
+    for rec in doc[:1] + doc[2:]:
+        assert rec["termination"] in ("gradient_small", "max_iters",
+                                      "line_search_failed")
+        assert rec["grad_norm"] >= 0.0
 
 
 def test_sweep_captures_per_record_errors():

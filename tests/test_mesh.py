@@ -7,7 +7,8 @@ from hypothesis import strategies as st
 
 from effdiff.mesh import boundary_arclength, boundary_mass_matrix, \
     boundary_perimeter, build_periodic_cell_mesh, build_unit_square_mesh, \
-    interpolate_boundary, interpolate_nodal, zero_mean_project
+    interpolate_boundary, interpolate_nodal, interpolation_matrix, \
+    zero_mean_project
 from effdiff.solver import triangle_geometry
 
 
@@ -137,6 +138,24 @@ def test_nodal_interpolation_reproduces_linear_fields():
     out = interpolate_nodal(mesh, vals, pts)
     expect = 2.0 * pts[:, 0] - 0.5 * pts[:, 1] + 1.0
     assert np.abs(out - expect).max() < 1e-12
+
+
+def test_interpolation_matrix_is_p1_weights():
+    mesh = build_unit_square_mesh(7)
+    rng = np.random.default_rng(4)
+    # random points, the nodes themselves and points on the diagonals
+    t = rng.random(50)
+    pts = np.vstack([rng.random((300, 2)), mesh.nodes,
+                     np.column_stack([t, t])])
+    interp = interpolation_matrix(mesh, pts)
+    assert interp.shape == (pts.shape[0], mesh.num_nodes)
+    assert np.all(np.diff(interp.indptr) == 3)
+    assert interp.min() >= 0.0
+    assert np.abs(interp.sum(axis=1) - 1.0).max() < 1e-15
+    for a, b, c in ((1.0, 0.0, 0.0), (0.0, 1.0, 0.0), (0.5, -3.0, 2.0)):
+        vals = a + b * mesh.nodes[:, 0] + c * mesh.nodes[:, 1]
+        expect = a + b * pts[:, 0] + c * pts[:, 1]
+        assert np.abs(interp @ vals - expect).max() < 1e-14
 
 
 def test_boundary_interpolation_identity_on_same_mesh():
