@@ -4,8 +4,8 @@ energy measurements of highly oscillatory diffusion problems."""
 from .coefficients import CheckerboardRealization, CoefficientField, SymMat, \
     constant_field, mean_over_cell, periodic_smooth_field, \
     sample_checkerboard, scale_epsilon
-from .experiments import EnsembleStat, ensemble, err_eps_q, err_star, \
-    identify_checkerboard, identify_periodic, one_d_profile, sweep
+from .experiments import err_eps_q, err_star, identify_checkerboard, \
+    identify_periodic, one_d_profile, sweep
 from .homogenization import HomogenizedReference, checkerboard_exact, \
     harmonic_mean_1d, homogenized_matrix
 from .identify import CoarseModel, Measurements, NoiseSpec, OptimizerTrace, \

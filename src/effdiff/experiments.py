@@ -1,6 +1,6 @@
 """Experiment drivers: error metrics, identification runs for the periodic
-and random test cases, noise studies, Monte Carlo ensembles, the 1D
-objective profile, and CSV/JSON emission.
+and random test cases, noise studies, the 1D objective profile, and
+CSV/JSON emission.
 
 Every driver returns plain record dicts with a fixed core column set so a
 sweep can be serialized and replayed; randomized drivers take explicit
@@ -16,7 +16,6 @@ import tempfile
 import time
 import warnings
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
 from functools import lru_cache
 from typing import Callable, Iterable, Sequence
 
@@ -137,42 +136,6 @@ def err_eps_q_expect(abar: SymMat, eps: float, q: int, r: float,
     batch = _checkerboard_batch(eps, q, r, m1, base_seed)
     coarse = build_unit_square_mesh(coarse_mesh_n(coarse_h))
     return err_eps_q(abar, mean_measurements(batch), coarse)
-
-
-# ---------------------------------------------------------------------------
-# ensembles
-
-@dataclass(frozen=True)
-class EnsembleStat:
-    mean: float
-    ci95_low: float
-    ci95_high: float
-    m1: int
-    m2: int
-    batch_values: tuple
-
-    def __post_init__(self):
-        if not self.ci95_low <= self.mean <= self.ci95_high:
-            raise ValueError("inconsistent confidence interval")
-
-
-def ensemble(estimate: Callable[[Sequence[int]], float], m1: int, m2: int,
-             base_seed: int, workers: int = 1) -> EnsembleStat:
-    """Mean and normal-approximation 95% interval over M2 batches.
-
-    Each batch calls `estimate` with M1 fresh seeds
-    (base_seed + batch * M1 + index), so batches never share realizations.
-    """
-    if m2 < 2:
-        raise ValueError(f"need at least 2 batches, got {m2}")
-    seed_lists = [[base_seed + b * m1 + i for i in range(m1)]
-                  for b in range(m2)]
-    values = np.array(parallel_map(estimate, seed_lists, workers))
-    mean = float(values.mean())
-    half = 1.96 * float(values.std(ddof=1)) / math.sqrt(m2)
-    return EnsembleStat(mean=mean, ci95_low=mean - half,
-                        ci95_high=mean + half, m1=m1, m2=m2,
-                        batch_values=tuple(float(v) for v in values))
 
 
 def parallel_map(fn: Callable, items: Iterable, workers: int = 1) -> list:

@@ -15,7 +15,6 @@ the surrogate solves.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass, field, replace
 from typing import Callable, Sequence
@@ -112,35 +111,6 @@ def mean_measurements(batch: Sequence[Measurements]) -> Measurements:
                         boundary_traces=avg("boundary_traces"),
                         volume_fields=avg("volume_fields"),
                         mesh=first.mesh, provenance=prov)
-
-
-def load_measurements(path: str, basis: ModeBasis,
-                      mesh: TriMesh | None = None) -> Measurements:
-    """Read injected measurements from a JSON document.
-
-    Expected shape: {"energies": {"0": -0.5, ...}, "cross": [[...]]} with
-    energies keyed by mode index; the cross table is optional.
-    """
-    with open(path) as f:
-        doc = json.load(f)
-    if "energies" not in doc:
-        raise ValueError(f"{path}: missing 'energies' table")
-    table = doc["energies"]
-    if isinstance(table, dict):
-        energies = np.array([float(table[str(k)]) for k in range(len(table))])
-    else:
-        energies = np.asarray(table, dtype=float)
-    if energies.shape[0] != basis.count:
-        raise ValueError(
-            f"{path}: {energies.shape[0]} energies for {basis.count} modes")
-    cross = None
-    if doc.get("cross") is not None:
-        cross = np.asarray(doc["cross"], dtype=float)
-        if cross.shape != (basis.count, basis.count):
-            raise ValueError(f"{path}: cross table has shape {cross.shape}")
-    return Measurements(basis=basis, energies=energies, cross=cross,
-                        mesh=mesh, provenance={"source": "injected",
-                                               "path": path})
 
 
 # ---------------------------------------------------------------------------
@@ -292,37 +262,6 @@ def volume_setup(meas: Measurements, coarse_mesh: TriMesh):
         raise ValueError("volume mismatch needs recorded volume fields")
     return (interpolation_matrix(coarse_mesh, meas.mesh.nodes),
             assemble_volume_mass(meas.mesh))
-
-
-def _largest_root(gram: np.ndarray) -> float:
-    return float(math.sqrt(max(sla.eigvalsh(gram)[-1], 0.0)))
-
-
-def objective_ms(abar: SymMat, meas: Measurements, coarse_mesh: TriMesh,
-                 coarse_basis: ModeBasis) -> float:
-    """Worst-case boundary-trace mismatch over unit mode combinations.
-
-    Computed as the square root of the largest eigenvalue of the boundary
-    Gram matrix of trace differences, with the measured traces carried to
-    the coarse boundary by arclength interpolation.
-    """
-    measured = _measured_traces(meas, coarse_mesh)
-    coarse = CoarseModel(coarse_mesh, coarse_basis).evaluate(abar)
-    diffs = measured - coarse.traces
-    return _largest_root(diffs @ (coarse.solver.boundary_mass @ diffs.T))
-
-
-def objective_mv(abar: SymMat, meas: Measurements, coarse_mesh: TriMesh,
-                 coarse_basis: ModeBasis) -> float:
-    """Worst-case volume mismatch over unit mode combinations.
-
-    The surrogate solution is interpolated to the measurement mesh and the
-    Gram matrix taken in the volume inner product there.
-    """
-    interp, mass = volume_setup(meas, coarse_mesh)
-    coarse = CoarseModel(coarse_mesh, coarse_basis).evaluate(abar)
-    diffs = meas.volume_fields - (interp @ coarse.values.T).T
-    return _largest_root(diffs @ (mass @ diffs.T))
 
 
 # ---------------------------------------------------------------------------
@@ -565,7 +504,7 @@ def make_objective(meas: Measurements, coarse_mesh: TriMesh,
         elif meas.basis.mesh_n == coarse_mesh.n:
             coarse_basis = meas.basis
         else:
-            raise ValueError("injected measurements need a coarse-mesh "
+            raise ValueError("measurements without a mesh need a coarse-mesh "
                              "mode basis")
     model = CoarseModel(coarse_mesh, coarse_basis)
 

@@ -4,11 +4,12 @@ Neumann-to-Dirichlet Laplace operator, and the affine normal-trace family.
 The Neumann-to-Dirichlet operator is only available through solves, so its
 leading eigenpairs are computed by scipy's ``eigsh`` (ARPACK's implicitly
 restarted Lanczos), one Laplace solve per operator application, against a
-shared factorization.  The zero-mean constraint is handled by deflating the
-constant boundary function, which keeps the operator symmetric.  The square's
-symmetries make some eigenvalues double; the basis is made canonical with
-them (see ``compute_r_modes``), so it does not depend on the eigensolver or
-on the factorization's rounding.
+shared factorization.  The operator commutes with the eight symmetries of
+the square and the solve runs in its symmetry sectors, so the group, not a
+tolerance, fixes the multiplicities and the basis (see ``compute_r_modes``),
+which does not depend on the eigensolver or on the factorization's rounding.
+The zero-mean constraint is handled by deflating the constant boundary
+function, which keeps the operator symmetric.
 """
 
 from __future__ import annotations
@@ -18,6 +19,7 @@ from typing import Callable
 
 import numpy as np
 import scipy.linalg as sla
+import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from .coefficients import SymMat, constant_field
@@ -42,10 +44,6 @@ class ModeBasis:
 
 class EigensolverError(RuntimeError):
     pass
-
-
-# eigenvalues closer than this times the largest one form one cluster
-CLUSTER_RTOL = 1e-8
 
 
 def fix_sign(v: np.ndarray) -> np.ndarray:
@@ -132,88 +130,110 @@ def _square_symmetries(nb: int) -> list[np.ndarray]:
             for m in range(4)]
 
 
-def _reflect_clusters(modes: np.ndarray, vals: np.ndarray, mass,
-                      reflect: np.ndarray) -> np.ndarray:
-    """Rotate each cluster of equal eigenvalues onto reflection eigenvectors.
+# Weights of the eight symmetries, in ``_square_symmetries`` order, that
+# define the sectors of the solve: the characters of the square group's four
+# one-dimensional representations (the trivial one first), then the
+# reflection-even half of its two-dimensional representation, where the half
+# turn acts as -1.  A quarter turn maps that half onto the other one.
+_SECTOR_WEIGHTS = np.array([[1, 1, 1, 1, 1, 1, 1, 1],
+                            [1, 1, 1, 1, -1, -1, -1, -1],
+                            [1, -1, 1, -1, 1, -1, 1, -1],
+                            [1, -1, 1, -1, -1, 1, -1, 1],
+                            [1, 0, -1, 0, 1, 0, -1, 0]])
 
-    Inside a cluster (|dlambda| <= CLUSTER_RTOL * lambda_0) the eigensolver
-    returns an arbitrary orthonormal basis.  The reflection (x, y) -> (y, x)
-    is an exact symmetry of the mesh and of the identity-coefficient
-    operator; its eigenvectors inside the cluster (parity +1 first) form a
-    basis that depends on the operator alone.  Raises EigensolverError when
-    the reflection does not split a cluster.
+
+def _sector_basis(symmetries: list[np.ndarray],
+                  weights: np.ndarray) -> sp.csc_matrix:
+    """Signed orbit indicators spanning one symmetry sector.
+
+    The symmetries of nonzero weight form a subgroup and the weights are a
+    character of it; the sector holds the boundary functions g with
+    g[perm[k]] = weight * g[k] for each of them.  Each column is one orbit
+    with its entries set to the weights (+-1), the orbit's smallest position
+    at +1.  An orbit whose stabilizer has weight -1 carries no such function
+    and gets no column.
     """
-    out = modes.copy()
-    start = 0
-    while start < len(vals):
-        stop = start + 1
-        while stop < len(vals) and \
-                vals[start] - vals[stop] <= CLUSTER_RTOL * vals[0]:
-            stop += 1
-        if stop - start > 1:
-            block = modes[start:stop]
-            parity, rot = np.linalg.eigh(block @ (mass @ block[:, reflect].T))
-            if np.any(np.diff(parity) < 1.0):
-                raise EigensolverError(
-                    f"the reflection does not split the eigenvalue cluster "
-                    f"{vals[start:stop]} (parities {parity})")
-            out[start:stop] = rot[:, ::-1].T @ block
-        start = stop
-    return out
-
-
-def _symmetrize(g: np.ndarray, mass, symmetries) -> np.ndarray:
-    """Average g over the symmetries that map it to +-g, orbit by orbit.
-
-    Every entry is written from its orbit's one averaged value, so entries
-    that a symmetry maps onto each other have equal magnitudes bit for bit
-    and ``fix_sign`` sees exact ties, not ties broken by rounding.
-    """
-    norm = g @ (mass @ g)
-    parity = np.array([g @ (mass @ g[p]) for p in symmetries]) / norm
-    keep = np.abs(parity) > 0.5
-    perms = np.stack(symmetries)[keep]
-    signs = np.sign(parity[keep])
-    avg = (signs[:, None] * g[perms]).mean(axis=0)
-    # g[k] = sign_h * g[perm_h[k]]; take the image with the smallest index
-    first = np.argmin(perms, axis=0)
-    cols = np.arange(g.shape[0])
-    return signs[first] * avg[perms[first, cols]]
+    used = weights != 0
+    perms = np.stack(symmetries)[used]
+    reps = np.unique(perms.min(axis=0))
+    cols = np.tile(np.arange(reps.size), perms.shape[0])
+    vals = np.repeat(weights[used], reps.size).astype(float)
+    # the construction sums the entries a stabilizer maps onto each other
+    b = sp.csc_matrix((vals, (perms[:, reps].ravel(), cols)),
+                      shape=(perms.shape[1], reps.size))
+    b.data = np.sign(b.data)
+    b.eliminate_zeros()
+    return b[:, np.diff(b.indptr) > 0]
 
 
 def compute_r_modes(mesh: TriMesh, p_count: int, tol: float = 1e-10) -> ModeBasis:
     """Top eigenpairs of the Neumann-to-Dirichlet Laplace operator.
 
     Modes are orthonormal in the boundary mass inner product, have zero
-    boundary mean, and are canonical: degenerate pairs are split by the
-    reflection symmetry and signs follow ``fix_sign``, so the basis does not
-    depend on the eigensolver's start vector or rounding.  When P would cut
-    a cluster, the whole cluster is computed and rotated before truncation.
+    boundary mean, and are canonical.  The operator commutes with the eight
+    symmetries of the square, so one Lanczos solve runs on the sum of the
+    sectors in ``_SECTOR_WEIGHTS``, each with a mass-orthonormal basis of
+    signed orbit indicators; there every eigenvalue is simple, so none can
+    lose a copy.  Each eigenvector is projected onto its dominant sector and
+    expanded from its orbit values, so entries that a symmetry maps onto
+    each other are equal bit for bit.  A mode of the two-dimensional sector
+    is followed by its quarter turn, the second mode of its eigenvalue.
+    Signs follow ``fix_sign``, so the basis does not depend on the
+    eigensolver's start vector or rounding.
     """
     nb = mesh.num_boundary_dofs
     if not 1 <= p_count <= nb - 1:
         raise ValueError(f"need 1 <= P <= {nb - 1} boundary modes, "
                          f"got {p_count}")
     op = RModeOperator(mesh)
-    deflate = op.to_y(np.ones(nb))
-    nev = p_count
-    while True:
-        nev = min(nev + 1, nb - 1)
-        vals, ys = extreme_eigenpairs(op.apply_y, dim=nb, nev=nev,
-                                      deflate=deflate, which="LA", tol=tol)
-        if nev == nb - 1 or \
-                vals[p_count - 1] - vals[-1] > CLUSTER_RTOL * vals[0]:
-            break
+    symmetries = _square_symmetries(nb)
+    # per sector: its orbit indicators B and the Cholesky factor of B^T M B
+    sectors = []
+    for weights in _SECTOR_WEIGHTS:
+        b = _sector_basis(symmetries, weights)
+        sectors.append((b, sla.cholesky((b.T @ (op.mass @ b)).toarray(),
+                                        lower=True)))
+    splits = np.cumsum([b.shape[1] for b, _ in sectors])
+    dim = int(splits[-1])
+
+    # c holds coordinates in the sectors' mass-orthonormal bases B L^-T
+    def expand(b, chol, c):
+        return b @ sla.solve_triangular(chol, c, trans="T", lower=True)
+
+    def restrict(g):
+        mg = op.mass @ g
+        return np.concatenate([sla.solve_triangular(chol, b.T @ mg,
+                                                    lower=True)
+                               for b, chol in sectors])
+
+    def apply_op(c):
+        return restrict(op.apply(sum(
+            expand(b, chol, part) for (b, chol), part
+            in zip(sectors, np.split(c, splits[:-1])))))
+
+    # P eigenpairs here give at least P modes, two per 2-D-sector pair; the
+    # constant function is the one zero eigenvector
+    vals, cs = extreme_eigenpairs(apply_op, dim=dim,
+                                  nev=min(p_count, dim - 1),
+                                  deflate=restrict(np.ones(nb)),
+                                  which="LA", tol=tol)
     if np.any(vals <= 0.0):
         raise EigensolverError(
             f"Neumann-to-Dirichlet operator produced non-positive "
             f"eigenvalues {vals}")
-    modes = np.stack([op.from_y(ys[:, k]) for k in range(nev)])
-    symmetries = _square_symmetries(nb)
-    modes = _reflect_clusters(modes, vals, op.mass, symmetries[4])[:p_count]
-    modes = np.stack([fix_sign(_symmetrize(g, op.mass, symmetries))
-                      for g in modes])
-    return ModeBasis(modes=modes, eigenvalues=vals[:p_count],
+    modes, lams = [], []
+    for lam, c in zip(vals, cs.T):
+        parts = np.split(c, splits[:-1])
+        k = int(np.argmax([np.linalg.norm(part) for part in parts]))
+        g = expand(*sectors[k], parts[k] / np.linalg.norm(parts[k]))
+        modes.append(fix_sign(g))
+        lams.append(lam)
+        if _SECTOR_WEIGHTS[k, 1] == 0:   # the two-dimensional sector
+            modes.append(fix_sign(g[symmetries[1]]))
+            lams.append(lam)
+    order = np.argsort(-np.array(lams), kind="stable")[:p_count]
+    return ModeBasis(modes=np.stack(modes)[order],
+                     eigenvalues=np.array(lams)[order],
                      family="r_modes", mesh_n=mesh.n)
 
 

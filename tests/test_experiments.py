@@ -7,10 +7,10 @@ import pytest
 
 from effdiff import experiments
 from effdiff.coefficients import SymMat, constant_field, sample_checkerboard
-from effdiff.experiments import CSV_COLUMNS, EnsembleStat, \
-    _checkerboard_batch, coarse_mesh_n, ensemble, err_eps_q, \
-    err_eps_q_expect, err_star, fine_mesh_n, one_d_profile, parallel_map, \
-    sweep, take_measurements, take_modes, write_csv, write_json
+from effdiff.experiments import CSV_COLUMNS, _checkerboard_batch, \
+    coarse_mesh_n, err_eps_q, err_eps_q_expect, err_star, fine_mesh_n, \
+    one_d_profile, parallel_map, sweep, take_measurements, take_modes, \
+    write_csv, write_json
 from effdiff.identify import mean_measurements, simulate_measurements
 from effdiff.mesh import build_unit_square_mesh
 from effdiff.modes import affine_modes
@@ -119,51 +119,6 @@ def test_err_eps_q_expect_uses_coarse_h():
     direct = err_eps_q(at, mean_measurements(_checkerboard_batch(
         eps, q, r, 1, seed)), coarse)
     assert abs(via_expect - direct) < 1e-12
-
-
-# ---------------------------------------------------------------------------
-# ensembles
-
-def test_ensemble_deterministic_estimator_zero_width():
-    stat = ensemble(lambda seeds: 2.5, m1=4, m2=3, base_seed=0)
-    assert stat.mean == 2.5
-    assert stat.ci95_low == stat.ci95_high == 2.5
-    assert stat.m2 == 3 and len(stat.batch_values) == 3
-
-
-def test_ensemble_ci_shrinks_with_batches():
-    def estimate(seeds):
-        rng = np.random.default_rng(seeds[0])
-        return float(rng.normal())
-
-    s1 = ensemble(estimate, m1=1, m2=50, base_seed=1)
-    s2 = ensemble(estimate, m1=1, m2=200, base_seed=1)
-    w1 = s1.ci95_high - s1.ci95_low
-    w2 = s2.ci95_high - s2.ci95_low
-    assert abs(w1 / w2 - 2.0) < 0.45   # sqrt(200/50) within sampling noise
-
-
-def test_ensemble_seed_layout_reproducible():
-    seen = []
-
-    def estimate(seeds):
-        seen.append(tuple(seeds))
-        return float(np.mean(seeds))
-
-    stat = ensemble(estimate, m1=3, m2=2, base_seed=100)
-    assert seen == [(100, 101, 102), (103, 104, 105)]
-    assert stat.mean == np.mean([101.0, 104.0])
-
-
-def test_ensemble_needs_two_batches():
-    with pytest.raises(ValueError):
-        ensemble(lambda seeds: 0.0, m1=1, m2=1, base_seed=0)
-
-
-def test_ensemble_stat_rejects_bad_interval():
-    with pytest.raises(ValueError):
-        EnsembleStat(mean=1.0, ci95_low=2.0, ci95_high=3.0, m1=1, m2=2,
-                     batch_values=(1.0, 1.0))
 
 
 def test_parallel_map_matches_serial():

@@ -8,8 +8,8 @@ import effdiff.modes as modes_module
 
 from effdiff.coefficients import SymMat, constant_field
 from effdiff.mesh import boundary_mass_matrix, build_unit_square_mesh
-from effdiff.modes import EigensolverError, RModeOperator, affine_modes, \
-    choose_p, compute_r_modes, extreme_eigenpairs, fix_sign, modes_on_mesh
+from effdiff.modes import RModeOperator, affine_modes, choose_p, \
+    compute_r_modes, extreme_eigenpairs, fix_sign, modes_on_mesh
 from effdiff.solver import NeumannSolver
 
 
@@ -24,12 +24,17 @@ def dense_conjugated_operator(mesh):
     return op, 0.5 * (b + b.T)
 
 
-def test_lanczos_matches_dense_oracle_n16():
-    mesh = build_unit_square_mesh(16)
+# n = 20 and 29 at Q = 11 hold a double eigenvalue that single-vector
+# Lanczos on the whole boundary space returns once
+@pytest.mark.parametrize("n, q", [(8, 11), (16, 5), (20, 11), (24, 11),
+                                  (29, 11), (57, 11)])
+def test_lanczos_matches_dense_oracle(n, q):
+    mesh = build_unit_square_mesh(n)
     op, b = dense_conjugated_operator(mesh)
     vals_ref = np.sort(sla.eigvalsh(b))[::-1]
-    basis = compute_r_modes(mesh, 5)
-    assert np.abs(basis.eigenvalues - vals_ref[:5]).max() < 1e-8
+    basis = compute_r_modes(mesh, q)
+    assert np.abs(basis.eigenvalues - vals_ref[:q]).max() \
+        < 1e-12 * vals_ref[0]
 
     # vectors against the dense decomposition, after sign alignment;
     # degenerate pairs are compared through the spanned subspace
@@ -37,18 +42,31 @@ def test_lanczos_matches_dense_oracle_n16():
     order = np.argsort(vals_d)[::-1]
     vals_d, vecs_d = vals_d[order], vecs_d[:, order]
     k = 0
-    while k < 5:
+    while k < q:
         j = k
         while j + 1 < len(vals_d) and abs(vals_d[j + 1] - vals_d[k]) \
                 < 1e-8 * abs(vals_d[k]):
             j += 1
         block = vecs_d[:, k:j + 1]
-        for p in range(k, min(j + 1, 5)):
+        for p in range(k, min(j + 1, q)):
             y = op.to_y(basis.modes[p])
             y /= np.linalg.norm(y)
             resid = y - block @ (block.T @ y)
             assert np.linalg.norm(resid) < 1e-6
         k = j + 1
+
+
+@pytest.mark.parametrize("n", [20, 24])
+def test_modes_exactly_symmetric(n):
+    # the reflection (x, y) -> (y, x) and the half turn map every mode to
+    # +mode or -mode bit for bit
+    basis = compute_r_modes(build_unit_square_mesh(n), 11)
+    nb = 4 * n
+    k = np.arange(nb)
+    for perm in ((-k) % nb, (k + nb // 2) % nb):
+        for mode in basis.modes:
+            assert np.array_equal(mode[perm], mode) or \
+                np.array_equal(mode[perm], -mode)
 
 
 def test_eigenvalues_positive_and_sorted():
@@ -137,18 +155,6 @@ def test_r_modes_independent_of_start_vector(monkeypatch):
         bases.append(compute_r_modes(mesh, 6))
     assert np.abs(bases[0].modes - bases[1].modes).max() <= 1e-8
     assert np.abs(bases[0].eigenvalues - bases[1].eigenvalues).max() <= 1e-8
-
-
-def test_cluster_the_reflection_cannot_split_is_an_error():
-    # modes 0 and 2 are both even under (x, y) -> (y, x); posing them as
-    # one cluster leaves the basis undetermined
-    mesh = build_unit_square_mesh(16)
-    basis = compute_r_modes(mesh, 3)
-    nb = mesh.num_boundary_dofs
-    with pytest.raises(EigensolverError):
-        modes_module._reflect_clusters(
-            basis.modes[[0, 2]], np.array([1.0, 1.0]),
-            boundary_mass_matrix(mesh), (-np.arange(nb)) % nb)
 
 
 def test_too_many_modes_rejected():
