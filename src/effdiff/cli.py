@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import os
 import sys
 import time
@@ -22,13 +21,13 @@ import numpy as np
 
 from .coefficients import SymMat, constant_field, periodic_smooth_field, \
     scale_epsilon
-from .experiments import DEFAULT_COARSE_H, coarse_mesh_n, \
-    coefficient_noise_study, fine_mesh_n, measurement_noise_study, \
-    one_d_profile, periodic_reference, sweep, write_csv, write_json
+from .experiments import DEFAULT_COARSE_H, ME_MS_CHECK_MAX_N, \
+    coarse_mesh_n, coefficient_noise_study, fine_n, \
+    measurement_noise_study, one_d_profile, periodic_reference, record, \
+    resolve_p, sweep, write_csv, write_json
 from .homogenization import checkerboard_exact, homogenized_matrix
 from .identify import me_ms_identity_check
 from .mesh import build_periodic_cell_mesh, build_unit_square_mesh
-from .modes import choose_p
 
 SCHEMA_VERSION = 1
 OUTPUT_ENV_VAR = "EFFDIFF_OUT_DIR"
@@ -43,6 +42,10 @@ EXIT_DOF_CAP = 4
 EXPERIMENTS = ("homogenize", "identify", "sweep", "noise_measurement",
                "noise_coefficient", "one_d_profile", "me_ms_check")
 COEFFICIENTS = ("periodic_smooth", "checkerboard", "constant")
+FINE_MESH_EXPERIMENTS = ("identify", "sweep", "noise_measurement",
+                         "noise_coefficient", "me_ms_check")
+FIRST_EPSILON_EXPERIMENTS = ("noise_measurement", "noise_coefficient",
+                             "me_ms_check")
 PROFILES = ("desk", "full")
 
 
@@ -57,7 +60,7 @@ class RunConfig:
     constant_entries: SymMat | None = None
     epsilons: list = field(default_factory=lambda: [0.2, 0.1, 0.05])
     strategies: list = field(default_factory=lambda: ["ME"])
-    p: int | str = "auto"
+    p: int | None = None     # None: "auto", choose_p per epsilon
     q: int = 11
     r: float | None = None
     coarse_h: float = DEFAULT_COARSE_H
@@ -94,8 +97,19 @@ class RunConfig:
         """Noisy re-identifications per sigma in the measurement-noise study."""
         return 4 * self.resolved_m2()
 
-    def resolved_p(self, eps: float) -> int:
-        return choose_p(eps) if self.p == "auto" else int(self.p)
+    def run_epsilons(self) -> list:
+        """The epsilons the run uses."""
+        if self.experiment in FIRST_EPSILON_EXPERIMENTS:
+            return self.epsilons[:1]
+        return self.epsilons
+
+    def fine_n(self, eps: float) -> int:
+        """The fine-mesh subdivisions the run uses at ``eps``; only sweeps
+        read the coefficient, the other runs use the periodic field."""
+        sweeps = self.experiment in ("identify", "sweep")
+        cap = ME_MS_CHECK_MAX_N if self.experiment == "me_ms_check" else None
+        return fine_n(self.coefficient if sweeps else "periodic_smooth", eps,
+                      self.resolved_r(), max_n=cap)
 
 
 def _expect(cond: bool, message: str) -> None:
@@ -150,7 +164,7 @@ def load_config(path: str) -> RunConfig:
         _expect(doc["P"] == "auto"
                 or (isinstance(doc["P"], int) and doc["P"] >= 1),
                 "'P' must be 'auto' or a positive integer")
-        cfg.p = doc["P"]
+        cfg.p = None if doc["P"] == "auto" else doc["P"]
     if "Q" in doc:
         _expect(isinstance(doc["Q"], int) and doc["Q"] >= 1,
                 "'Q' must be a positive integer")
@@ -189,9 +203,11 @@ def load_config(path: str) -> RunConfig:
     cfg.out_csv = out.get("csv", cfg.out_csv)
     cfg.out_json = out.get("json", cfg.out_json)
 
-    for eps in cfg.epsilons:
-        _expect(cfg.q >= cfg.resolved_p(eps),
-                f"Q = {cfg.q} < P = {cfg.resolved_p(eps)} at eps = {eps}")
+    _expect(cfg.epsilons or cfg.experiment not in FIRST_EPSILON_EXPERIMENTS,
+            f"'epsilons' must not be empty for {cfg.experiment}")
+    for eps in cfg.run_epsilons():
+        p = resolve_p(eps, cfg.p)
+        _expect(cfg.q >= p, f"Q = {cfg.q} < P = {p} at eps = {eps}")
     return cfg
 
 
@@ -201,20 +217,19 @@ def resolve_report(cfg: RunConfig) -> list[str]:
              f"coefficient: {cfg.coefficient}",
              f"profile: {cfg.profile}",
              f"base_seed: {cfg.base_seed}"]
-    if cfg.experiment in ("identify", "sweep", "noise_measurement",
-                          "noise_coefficient"):
-        r = cfg.resolved_r()
-        lines.append(f"r: {r}")
-        lines.append(f"coarse_H: {cfg.coarse_h} "
-                     f"(coarse n = {coarse_mesh_n(cfg.coarse_h)})")
-        for eps in cfg.epsilons:
-            p = cfg.resolved_p(eps)
-            align = math.ceil(1.0 / eps) \
-                if cfg.coefficient == "checkerboard" else None
-            n = fine_mesh_n(eps, r, align_cells=align)
-            lines.append(f"eps = {eps}: P = {p}, Q = {cfg.q}, "
-                         f"fine n = {n} ({(n + 1) ** 2} nodes)")
-        if cfg.coefficient == "checkerboard" \
+    if cfg.experiment in FINE_MESH_EXPERIMENTS:
+        identifies = cfg.experiment != "me_ms_check"
+        lines.append(f"r: {cfg.resolved_r()}")
+        if identifies:
+            lines.append(f"coarse_H: {cfg.coarse_h} "
+                         f"(coarse n = {coarse_mesh_n(cfg.coarse_h)})")
+        for eps in cfg.run_epsilons():
+            n = cfg.fine_n(eps)
+            modes = f"P = {resolve_p(eps, cfg.p)}, Q = {cfg.q}, " \
+                if identifies else ""
+            lines.append(f"eps = {eps}: {modes}fine n = {n} "
+                         f"({(n + 1) ** 2} nodes)")
+        if identifies and cfg.coefficient == "checkerboard" \
                 or cfg.experiment == "noise_coefficient":
             lines.append(f"M1 = {cfg.resolved_m1()}")
         if cfg.experiment == "noise_measurement":
@@ -227,26 +242,17 @@ def resolve_report(cfg: RunConfig) -> list[str]:
     return lines
 
 
-def check_dof_cap(cfg: RunConfig) -> None:
-    if cfg.profile != "desk":
-        return
-    if cfg.experiment in ("identify", "sweep", "noise_measurement",
-                          "noise_coefficient", "me_ms_check"):
-        r = cfg.resolved_r()
-        for eps in cfg.epsilons:
-            align = math.ceil(1.0 / eps) \
-                if cfg.coefficient == "checkerboard" else None
-            n = fine_mesh_n(eps, r, align_cells=align)
-            dofs = (n + 1) ** 2
-            if dofs > DESK_DOF_CAP:
-                raise _DofCapError(
-                    f"desk profile caps fine-mesh nodes at {DESK_DOF_CAP}; "
-                    f"eps = {eps}, r = {r} needs {dofs}. Reduce r or use "
-                    f"--profile full.")
-
-
-class _DofCapError(ValueError):
-    pass
+def dof_cap_error(cfg: RunConfig) -> str | None:
+    """Why the run exceeds the desk profile's fine-mesh cap, if it does."""
+    if cfg.profile != "desk" or cfg.experiment not in FINE_MESH_EXPERIMENTS:
+        return None
+    for eps in cfg.run_epsilons():
+        dofs = (cfg.fine_n(eps) + 1) ** 2
+        if dofs > DESK_DOF_CAP:
+            return (f"desk profile caps fine-mesh nodes at {DESK_DOF_CAP}; "
+                    f"eps = {eps}, r = {cfg.resolved_r()} needs {dofs}. "
+                    f"Reduce r or use --profile full.")
+    return None
 
 
 def run_experiment(cfg: RunConfig) -> list[dict]:
@@ -260,52 +266,43 @@ def run_experiment(cfg: RunConfig) -> list[dict]:
             a = checkerboard_exact().matrix
         else:
             a = periodic_reference(cfg.cell_n)
-        return [{"experiment": "homogenize", "strategy": "A_star",
-                 "epsilon": None, "P": None, "Q": None, "r": None,
-                 "seed": None, "a11": a.a11, "a12": a.a12, "a22": a.a22,
-                 "err_star": None, "err_eps_q": None, "psi_final": None,
-                 "iters": None, "cell_n": cfg.cell_n,
-                 "wall_ms": 1000.0 * (time.perf_counter() - t0)}]
+        return [record("homogenize", "A_star", None, a,
+                       wall_ms=1000.0 * (time.perf_counter() - t0),
+                       cell_n=cfg.cell_n)]
 
     if cfg.experiment in ("identify", "sweep"):
-        p = None if cfg.p == "auto" else int(cfg.p)
         return sweep(cfg.epsilons, strategies=cfg.strategies,
-                     coefficient=cfg.coefficient, r=cfg.resolved_r(), p=p,
-                     q=cfg.q, coarse_h=cfg.coarse_h, m1=cfg.resolved_m1(),
-                     base_seed=cfg.base_seed, workers=cfg.workers)
+                     coefficient=cfg.coefficient, r=cfg.resolved_r(),
+                     p=cfg.p, q=cfg.q, coarse_h=cfg.coarse_h,
+                     m1=cfg.resolved_m1(), base_seed=cfg.base_seed,
+                     workers=cfg.workers)
 
     if cfg.experiment == "noise_measurement":
-        eps = cfg.epsilons[0]
         return measurement_noise_study(
-            eps=eps, r=cfg.resolved_r(), p=cfg.resolved_p(eps),
+            eps=cfg.epsilons[0], r=cfg.resolved_r(), p=cfg.p,
             sigmas=cfg.sigmas, draws=cfg.resolved_draws(),
             base_seed=cfg.base_seed, coarse_h=cfg.coarse_h)
 
     if cfg.experiment == "noise_coefficient":
-        eps = cfg.epsilons[0]
         return coefficient_noise_study(
-            eps=eps, r=cfg.resolved_r(), p=cfg.resolved_p(eps),
+            eps=cfg.epsilons[0], r=cfg.resolved_r(), p=cfg.p,
             sigma=cfg.sigma, m1=cfg.resolved_m1(),
             base_seed=cfg.base_seed, coarse_h=cfg.coarse_h)
 
     if cfg.experiment == "one_d_profile":
         lo, hi, count = cfg.grid
-        table = one_d_profile(lambda x: 2.0 + np.cos(2.0 * np.pi * x),
-                              cfg.epsilons[0] if cfg.epsilons else 1e-3,
+        eps = cfg.epsilons[0] if cfg.epsilons else 1e-3
+        table = one_d_profile(lambda x: 2.0 + np.cos(2.0 * np.pi * x), eps,
                               np.linspace(lo, hi, count))
         # scalar candidate stored in a11, objective value in psi_final
-        return [{"experiment": "one_d_profile", "strategy": "ME",
-                 "epsilon": cfg.epsilons[0] if cfg.epsilons else 1e-3,
-                 "P": 1, "Q": None, "r": None, "seed": None,
-                 "a11": float(ab), "a12": None, "a22": None,
-                 "err_star": None, "err_eps_q": None,
-                 "psi_final": float(psi), "iters": None, "wall_ms": 0.0}
+        return [record("one_d_profile", "ME", eps,
+                       SymMat(float(ab), None, None), P=1,
+                       psi_final=float(psi), wall_ms=0.0)
                 for ab, psi in table]
 
     if cfg.experiment == "me_ms_check":
         eps = cfg.epsilons[0]
-        n = min(fine_mesh_n(eps, cfg.resolved_r()), 128)
-        mesh = build_unit_square_mesh(n)
+        mesh = build_unit_square_mesh(cfg.fine_n(eps))
         coeff = scale_epsilon(periodic_smooth_field(), eps)
         rng = np.random.default_rng(cfg.base_seed)
         records = []
@@ -315,14 +312,11 @@ def run_experiment(cfg: RunConfig) -> list[dict]:
                           10.0 + 4.0 * rng.random())
             t0 = time.perf_counter()
             me, ms = me_ms_identity_check(coeff, abar, mesh)
-            records.append({
-                "experiment": "me_ms_check", "strategy": "ME",
-                "epsilon": eps, "P": None, "Q": None, "r": cfg.resolved_r(),
-                "seed": cfg.base_seed + k, "a11": abar.a11,
-                "a12": abar.a12, "a22": abar.a22, "err_star": None,
-                "err_eps_q": None, "psi_final": me, "iters": None,
-                "psi_me": me, "psi_ms": ms, "ratio": ms / me,
-                "wall_ms": 1000.0 * (time.perf_counter() - t0)})
+            records.append(record(
+                "me_ms_check", "ME", eps, abar, r=cfg.resolved_r(),
+                seed=cfg.base_seed + k, psi_final=me,
+                wall_ms=1000.0 * (time.perf_counter() - t0),
+                psi_me=me, psi_ms=ms, ratio=ms / me))
         return records
 
     raise SchemaError(f"unknown experiment {cfg.experiment!r}")
@@ -366,10 +360,9 @@ def main(argv: list[str] | None = None) -> int:
     if args.workers:
         cfg.workers = args.workers
 
-    try:
-        check_dof_cap(cfg)
-    except _DofCapError as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    cap_error = dof_cap_error(cfg)
+    if cap_error:
+        print(f"error: {cap_error}", file=sys.stderr)
         return EXIT_DOF_CAP
 
     if args.validate:

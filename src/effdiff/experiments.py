@@ -22,8 +22,8 @@ from typing import Callable, Iterable, Sequence
 import numpy as np
 import scipy.linalg as sla
 
-from .coefficients import SymMat, mean_over_cell, periodic_smooth_field, \
-    sample_checkerboard, scale_epsilon
+from .coefficients import CoefficientField, SymMat, mean_over_cell, \
+    periodic_smooth_field, sample_checkerboard, scale_epsilon
 from .homogenization import checkerboard_exact, homogenized_matrix
 from .identify import CoarseModel, Measurements, NoiseSpec, \
     OptimizerTrace, apply_measurement_noise, identify, mean_measurements, \
@@ -40,6 +40,7 @@ CSV_COLUMNS = ["experiment", "strategy", "epsilon", "P", "Q", "r", "seed",
 STRATEGIES = ("ME", "MS", "MV", "A_star", "ME-affine")
 
 DEFAULT_COARSE_H = 0.05
+ME_MS_CHECK_MAX_N = 128
 
 
 # ---------------------------------------------------------------------------
@@ -58,6 +59,20 @@ def fine_mesh_n(eps: float, r: float, align_cells: int | None = None) -> int:
     if align_cells:
         n = align_cells * math.ceil(n / align_cells)
     return n
+
+
+def fine_n(coefficient: str, eps: float, r: float,
+           max_n: int | None = None) -> int:
+    """Subdivisions of the fine mesh a run on ``coefficient`` uses at
+    (eps, r): aligned to the checkerboard's cells, at most ``max_n``."""
+    align = math.ceil(1.0 / eps) if coefficient == "checkerboard" else None
+    n = fine_mesh_n(eps, r, align_cells=align)
+    return n if max_n is None else min(n, max_n)
+
+
+def resolve_p(eps: float, p: int | None = None) -> int:
+    """The mode count of a run: ``p``, or ``choose_p(eps)`` when None."""
+    return choose_p(eps) if p is None else p
 
 
 def coarse_mesh_n(coarse_h: float = DEFAULT_COARSE_H) -> int:
@@ -186,27 +201,26 @@ def _strategy_objective(strategy: str) -> str:
             "MV": "mv"}[strategy]
 
 
-def _record(experiment: str, strategy: str, eps: float, p: int, q: int | None,
-            r: float, seed: int | None, abar: SymMat, errs: float | None,
-            erre: float | None, psi: float | None, iters: int | None,
-            wall_ms: float, extra: dict | None = None) -> dict:
-    rec = {
-        "experiment": experiment, "strategy": strategy, "epsilon": eps,
-        "P": p, "Q": q, "r": r, "seed": seed,
-        "a11": abar.a11, "a12": abar.a12, "a22": abar.a22,
-        "err_star": errs, "err_eps_q": erre, "psi_final": psi,
-        "iters": iters, "wall_ms": wall_ms,
-    }
-    if extra:
-        rec.update(extra)
+def record(experiment: str, strategy: str, eps: float | None,
+           abar: SymMat | None, **fields) -> dict:
+    """One result row: the CSV columns in order, None where ``fields``
+    gives none, then the JSON-only ``fields``."""
+    rec = dict.fromkeys(CSV_COLUMNS)
+    rec.update(experiment=experiment, strategy=strategy, epsilon=eps)
+    if abar is not None:
+        rec.update(a11=abar.a11, a12=abar.a12, a22=abar.a22)
+    rec.update(fields)
     return rec
 
 
 def _descent_fields(trace: OptimizerTrace | None) -> dict:
-    """How the descent behind a record stopped (None without a descent)."""
+    """The final objective value and iterations of the descent behind a
+    record, and how it stopped (all None without a descent)."""
     if trace is None:
-        return {"termination": None, "grad_norm": None}
-    return {"termination": trace.termination,
+        return dict.fromkeys(("psi_final", "iters", "termination",
+                              "grad_norm"))
+    return {"psi_final": trace.objective_values[-1],
+            "iters": trace.iterations, "termination": trace.termination,
             "grad_norm": trace.gradient_norms[-1]}
 
 
@@ -216,6 +230,45 @@ def periodic_reference(cell_n: int = 512) -> SymMat:
     per cell resolution and process."""
     cell = build_periodic_cell_mesh(cell_n)
     return homogenized_matrix(cell, periodic_smooth_field()).matrix
+
+
+def _identify_record(experiment: str, strategy: str, eps: float,
+                     p: int | None, q: int, r: float, seed: int | None,
+                     coarse_h: float, meas_cache: dict | None, key: tuple,
+                     measure: Callable[[], Measurements], a_star: SymMat,
+                     init: SymMat, compute_err_eps_q: bool,
+                     affine_field: CoefficientField | None = None,
+                     **extra) -> dict:
+    """The identification run of both test cases.  ``measure()`` gives the
+    Q-mode measurements (once per ``key`` in a ``meas_cache``), and
+    ME-affine measures ``affine_field`` on the affine family."""
+    p = resolve_p(eps, p)
+    if q < p:
+        raise ValueError(f"need Q >= P, got Q={q}, P={p}")
+    t0 = time.perf_counter()
+    meas_cache = {} if meas_cache is None else meas_cache
+    if key not in meas_cache:
+        meas_cache[key] = measure()
+    meas_q = meas_cache[key]
+    coarse = build_unit_square_mesh(coarse_mesh_n(coarse_h))
+
+    abar, trace = a_star, None
+    if strategy != "A_star":
+        if strategy == "ME-affine":
+            meas_p = simulate_measurements(meas_q.mesh, affine_field,
+                                           affine_modes(meas_q.mesh),
+                                           keep_fields=False)
+        else:
+            meas_p = take_measurements(meas_q, p)
+        trace = identify(meas_p, coarse, init,
+                         objective=_strategy_objective(strategy))
+        abar = trace.final
+    erre = err_eps_q(abar, meas_q, coarse) if compute_err_eps_q else None
+    return record(experiment, strategy, eps, abar, P=p, Q=q, r=r, seed=seed,
+                  err_star=err_star(abar, a_star), err_eps_q=erre,
+                  wall_ms=1000.0 * (time.perf_counter() - t0), **extra,
+                  energies=[float(e) for e in meas_q.energies],
+                  **_descent_fields(trace))
 
 
 def identify_periodic(eps: float, r: float = 20.0, p: int | None = None,
@@ -230,55 +283,25 @@ def identify_periodic(eps: float, r: float = 20.0, p: int | None = None,
     """
     if strategy not in STRATEGIES:
         raise ValueError(f"unknown strategy {strategy!r}")
-    if p is None:
-        p = choose_p(eps)
-    if q < p:
-        raise ValueError(f"need Q >= P, got Q={q}, P={p}")
-    t0 = time.perf_counter()
     field = scale_epsilon(periodic_smooth_field(), eps)
-    key = (eps, r, q)
-    cached = meas_cache.get(key) if meas_cache is not None else None
-    if cached is None:
-        fine = build_unit_square_mesh(fine_mesh_n(eps, r))
-        basis_q = compute_r_modes(fine, q)
-        meas_q = simulate_measurements(fine, field, basis_q,
-                                       provenance={"field": "periodic"})
-        cached = (fine, meas_q)
-        if meas_cache is not None:
-            meas_cache[key] = cached
-    fine, meas_q = cached
-    coarse = build_unit_square_mesh(coarse_mesh_n(coarse_h))
-    if a_star is None:
-        a_star = periodic_reference()
 
-    trace = None
-    if strategy == "A_star":
-        abar, psi, iters = a_star, None, None
-    else:
-        if strategy == "ME-affine":
-            basis_p = affine_modes(fine)
-            meas_p = simulate_measurements(fine, field, basis_p,
-                                           keep_fields=False)
-        else:
-            meas_p = take_measurements(meas_q, p)
-        init = mean_over_cell(periodic_smooth_field())
-        trace = identify(meas_p, coarse, init,
-                         objective=_strategy_objective(strategy))
-        abar, psi = trace.final, trace.objective_values[-1]
-        iters = trace.iterations
-    erre = err_eps_q(abar, meas_q, coarse) if compute_err_eps_q else None
-    wall = 1000.0 * (time.perf_counter() - t0)
-    return _record("identify_periodic", strategy, eps, p, q, r, None, abar,
-                   err_star(abar, a_star), erre, psi, iters, wall,
-                   extra={"energies": [float(e) for e in meas_q.energies],
-                          **_descent_fields(trace)})
+    def measure():
+        fine = build_unit_square_mesh(fine_n("periodic_smooth", eps, r))
+        return simulate_measurements(fine, field, compute_r_modes(fine, q),
+                                     provenance={"field": "periodic"})
+
+    return _identify_record(
+        "identify_periodic", strategy, eps, p, q, r, None, coarse_h,
+        meas_cache, (eps, r, q), measure,
+        periodic_reference() if a_star is None else a_star,
+        mean_over_cell(periodic_smooth_field()), compute_err_eps_q,
+        affine_field=field)
 
 
 def _checkerboard_batch(eps: float, q: int, r: float, m1: int,
                         base_seed: int) -> list[Measurements]:
     """Measurements for M1 checkerboard realizations on a shared mesh."""
-    cells = math.ceil(1.0 / eps)
-    fine = build_unit_square_mesh(fine_mesh_n(eps, r, align_cells=cells))
+    fine = build_unit_square_mesh(fine_n("checkerboard", eps, r))
     basis_q = compute_r_modes(fine, q)
     return [simulate_measurements(
                 fine, sample_checkerboard(seed, eps), basis_q,
@@ -286,7 +309,7 @@ def _checkerboard_batch(eps: float, q: int, r: float, m1: int,
             for seed in range(base_seed, base_seed + m1)]
 
 
-def identify_checkerboard(eps: float, r: float = 10.0, p: int = 3,
+def identify_checkerboard(eps: float, r: float = 10.0, p: int | None = None,
                           q: int = 11, m1: int = 10, base_seed: int = 0,
                           coarse_h: float = DEFAULT_COARSE_H,
                           strategy: str = "ME",
@@ -296,41 +319,46 @@ def identify_checkerboard(eps: float, r: float = 10.0, p: int = 3,
     if strategy not in ("ME", "MS", "A_star"):
         raise ValueError(f"strategy {strategy!r} not supported on the "
                          "random case")
-    if q < p:
-        raise ValueError(f"need Q >= P, got Q={q}, P={p}")
-    t0 = time.perf_counter()
-    key = (eps, r, q, m1, base_seed)
-    mean_q = meas_cache.get(key) if meas_cache is not None else None
-    if mean_q is None:
-        mean_q = mean_measurements(
-            _checkerboard_batch(eps, q, r, m1, base_seed))
-        if meas_cache is not None:
-            meas_cache[key] = mean_q
-    coarse = build_unit_square_mesh(coarse_mesh_n(coarse_h))
-    a_star = checkerboard_exact().matrix
-
-    trace = None
-    if strategy == "A_star":
-        abar, psi, iters = a_star, None, None
-    else:
-        meas_p = take_measurements(mean_q, p)
-        init = SymMat.identity(10.0)  # the phase average
-        trace = identify(meas_p, coarse, init,
-                         objective=_strategy_objective(strategy))
-        abar, psi = trace.final, trace.objective_values[-1]
-        iters = trace.iterations
-    erre = err_eps_q(abar, mean_q, coarse) if compute_err_eps_q else None
-    wall = 1000.0 * (time.perf_counter() - t0)
-    return _record("identify_checkerboard", strategy, eps, p, q, r,
-                   base_seed, abar, err_star(abar, a_star), erre, psi,
-                   iters, wall,
-                   extra={"M1": m1,
-                          "energies": [float(e) for e in mean_q.energies],
-                          **_descent_fields(trace)})
+    return _identify_record(
+        "identify_checkerboard", strategy, eps, p, q, r, base_seed,
+        coarse_h, meas_cache, (eps, r, q, m1, base_seed),
+        lambda: mean_measurements(
+            _checkerboard_batch(eps, q, r, m1, base_seed)),
+        checkerboard_exact().matrix,
+        SymMat.identity(10.0),  # the phase average
+        compute_err_eps_q, M1=m1)
 
 
 # ---------------------------------------------------------------------------
 # noise studies
+
+def _noise_record(experiment: str, eps: float, p: int, r: float,
+                  seed: int | None, trace: OptimizerTrace, t0: float,
+                  **extra) -> dict:
+    """The record of one noise-study descent started at ``t0``."""
+    return record(experiment, "ME", eps, trace.final, P=p, r=r, seed=seed,
+                  wall_ms=1000.0 * (time.perf_counter() - t0), **extra,
+                  **_descent_fields(trace))
+
+
+def _noise_setup(experiment: str, eps: float, r: float, p: int | None,
+                 coarse_h: float):
+    """What both noise studies start from: (P, the P-mode measurements of
+    the periodic field, the coarse mesh, the initial guess, the noiseless
+    descent, [its sigma = 0 record])."""
+    p = resolve_p(eps, p)
+    field = scale_epsilon(periodic_smooth_field(), eps)
+    fine = build_unit_square_mesh(fine_n("periodic_smooth", eps, r))
+    meas = simulate_measurements(fine, field, compute_r_modes(fine, p),
+                                 keep_fields=False)
+    coarse = build_unit_square_mesh(coarse_mesh_n(coarse_h))
+    init = mean_over_cell(periodic_smooth_field())
+    t0 = time.perf_counter()
+    clean = identify(meas, coarse, init)
+    return p, meas, coarse, init, clean, [_noise_record(
+        experiment, eps, p, r, None, clean, t0, sigma=0.0,
+        rel_coeff_error=0.0)]
+
 
 def measurement_noise_study(eps: float = 0.05, r: float = 20.0,
                             p: int | None = None,
@@ -342,24 +370,9 @@ def measurement_noise_study(eps: float = 0.05, r: float = 20.0,
     Records the relative distance of each noisy result to the noiseless
     one; the noiseless baseline appears as the sigma = 0 record.
     """
-    if p is None:
-        p = choose_p(eps)
-    field = scale_epsilon(periodic_smooth_field(), eps)
-    fine = build_unit_square_mesh(fine_mesh_n(eps, r))
-    basis = compute_r_modes(fine, p)
-    meas = simulate_measurements(fine, field, basis, keep_fields=False)
-    coarse = build_unit_square_mesh(coarse_mesh_n(coarse_h))
-    init = mean_over_cell(periodic_smooth_field())
-
-    t0 = time.perf_counter()
-    clean = identify(meas, coarse, init)
+    p, meas, coarse, init, clean, records = _noise_setup(
+        "noise_measurement", eps, r, p, coarse_h)
     clean_norm = clean.final.frobenius()
-    records = [_record("noise_measurement", "ME", eps, p, None, r, None,
-                       clean.final, None, None,
-                       clean.objective_values[-1], clean.iterations,
-                       1000.0 * (time.perf_counter() - t0),
-                       extra={"sigma": 0.0, "rel_coeff_error": 0.0,
-                              **_descent_fields(clean)})]
     for sigma in sigmas:
         for k in range(draws):
             t0 = time.perf_counter()
@@ -370,12 +383,9 @@ def measurement_noise_study(eps: float = 0.05, r: float = 20.0,
             dv = trace.final.vec() - clean.final.vec()
             rel = math.sqrt(dv[0] ** 2 + 2 * dv[1] ** 2 + dv[2] ** 2) \
                 / clean_norm
-            records.append(_record(
-                f"noise_measurement:sigma={sigma}", "ME", eps, p, None, r,
-                seed, trace.final, None, None, trace.objective_values[-1],
-                trace.iterations, 1000.0 * (time.perf_counter() - t0),
-                extra={"sigma": sigma, "rel_coeff_error": rel,
-                       **_descent_fields(trace)}))
+            records.append(_noise_record(
+                f"noise_measurement:sigma={sigma}", eps, p, r, seed, trace,
+                t0, sigma=sigma, rel_coeff_error=rel))
     return records
 
 
@@ -384,23 +394,8 @@ def coefficient_noise_study(eps: float = 0.05, r: float = 20.0,
                             m1: int = 10, base_seed: int = 0,
                             coarse_h: float = DEFAULT_COARSE_H) -> list[dict]:
     """Identify with random matrix perturbations inside the coarse solves."""
-    if p is None:
-        p = choose_p(eps)
-    field = scale_epsilon(periodic_smooth_field(), eps)
-    fine = build_unit_square_mesh(fine_mesh_n(eps, r))
-    basis = compute_r_modes(fine, p)
-    meas = simulate_measurements(fine, field, basis, keep_fields=False)
-    coarse = build_unit_square_mesh(coarse_mesh_n(coarse_h))
-    init = mean_over_cell(periodic_smooth_field())
-
-    t0 = time.perf_counter()
-    clean = identify(meas, coarse, init)
-    records = [_record("noise_coefficient", "ME", eps, p, None, r, None,
-                       clean.final, None, None,
-                       clean.objective_values[-1], clean.iterations,
-                       1000.0 * (time.perf_counter() - t0),
-                       extra={"sigma": 0.0, "rel_coeff_error": 0.0,
-                              **_descent_fields(clean)})]
+    p, meas, coarse, init, clean, records = _noise_setup(
+        "noise_coefficient", eps, r, p, coarse_h)
     t0 = time.perf_counter()
     spec = NoiseSpec(kind="coefficient", sigma=sigma, draws=m1,
                      seed=base_seed)
@@ -408,12 +403,9 @@ def coefficient_noise_study(eps: float = 0.05, r: float = 20.0,
     d = trace.final.as_array() - clean.final.as_array()
     rel = float(np.linalg.norm(d, 2) / np.linalg.norm(
         clean.final.as_array(), 2))
-    records.append(_record(
-        f"noise_coefficient:sigma={sigma}", "ME", eps, p, None, r,
-        base_seed, trace.final, None, None, trace.objective_values[-1],
-        trace.iterations, 1000.0 * (time.perf_counter() - t0),
-        extra={"sigma": sigma, "M1": m1, "rel_coeff_error": rel,
-               **_descent_fields(trace)}))
+    records.append(_noise_record(
+        f"noise_coefficient:sigma={sigma}", eps, p, r, base_seed, trace, t0,
+        sigma=sigma, M1=m1, rel_coeff_error=rel))
     return records
 
 
@@ -440,16 +432,15 @@ def sweep(epsilons: Sequence[float], strategies: Sequence[str] = ("ME",),
                                          coarse_h=coarse_h, strategy=strat,
                                          a_star=a_star, meas_cache=cache)
             if coefficient == "checkerboard":
-                return identify_checkerboard(eps, r=r, p=p or 3, q=q,
-                                             m1=m1, base_seed=base_seed,
+                return identify_checkerboard(eps, r=r, p=p, q=q, m1=m1,
+                                             base_seed=base_seed,
                                              coarse_h=coarse_h,
                                              strategy=strat,
                                              meas_cache=cache)
             raise ValueError(f"unknown coefficient {coefficient!r}")
         except Exception as exc:  # noqa: BLE001 - per-record tolerance
-            return {"experiment": f"identify_{coefficient}",
-                    "strategy": strat, "epsilon": eps, "P": p, "Q": q,
-                    "r": r, "seed": base_seed, "error": repr(exc)}
+            return record(f"identify_{coefficient}", strat, eps, None, P=p,
+                          Q=q, r=r, seed=base_seed, error=repr(exc))
 
     # one task per epsilon, so each worker simulates its measurements once
     # and shares them across the strategies

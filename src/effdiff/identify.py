@@ -428,18 +428,20 @@ class OptimizerTrace:
         return len(self.step_sizes)
 
 
+ARMIJO_M = 0.1          # sufficient-decrease fraction
+BACKTRACK = 0.5         # step shrink per failed trial
+FIRST_MOVE_FRAC = 0.1   # largest relative move of a first trial step
+MAX_BACKTRACKS = 60
+
+
 def descend(value_and_grad: Callable[[SymMat], tuple[float, np.ndarray]],
             init: SymMat,
             max_iters: int = 200,
-            grad_tol: float = 1e-8,
-            armijo_m: float = 0.1,
-            backtrack: float = 0.5,
-            first_move_frac: float = 0.1,
-            max_backtracks: int = 60) -> OptimizerTrace:
+            grad_tol: float = 1e-8) -> OptimizerTrace:
     """Armijo backtracking gradient descent over symmetric 2x2 matrices.
 
     The first trial step is scaled so the first update moves the candidate
-    by at most `first_move_frac` of its Frobenius norm; later iterations
+    by at most ``FIRST_MOVE_FRAC`` of its Frobenius norm; later iterations
     start from twice the previously accepted step.  Trial points outside
     the positive-definite cone count as failed Armijo trials.
     """
@@ -456,18 +458,18 @@ def descend(value_and_grad: Callable[[SymMat], tuple[float, np.ndarray]],
         if gnorm <= grad_tol * (1.0 + abs(val)):
             trace.termination = "gradient_small"
             return trace
-        t = first_move_frac * max(a.frobenius(), 1e-12) / gnorm
+        t = FIRST_MOVE_FRAC * max(a.frobenius(), 1e-12) / gnorm
         if t_accepted is not None:
             t = min(2.0 * t_accepted, t)
         accepted = False
-        for _ in range(max_backtracks):
+        for _ in range(MAX_BACKTRACKS):
             cand = SymMat.from_vec(a.vec() - t * grad)
             if cand.is_spd():
                 cval, cgrad = value_and_grad(cand)
-                if cval <= val - armijo_m * t * gnorm * gnorm:
+                if cval <= val - ARMIJO_M * t * gnorm * gnorm:
                     accepted = True
                     break
-            t *= backtrack
+            t *= BACKTRACK
         if not accepted:
             trace.termination = "line_search_failed"
             return trace
@@ -498,6 +500,11 @@ def make_objective(meas: Measurements, coarse_mesh: TriMesh,
     traces on the coarse boundary, the fine-mesh interpolation and mass
     matrix) is done here, once.
     """
+    if noise is not None and (noise.kind, kind) != ("coefficient",
+                                                    "psi_sigma"):
+        raise ValueError(f"only coefficient noise on psi_sigma enters the "
+                         f"objective, got {noise.kind} noise on {kind}; "
+                         f"measurement noise goes into the measurements")
     if coarse_basis is None:
         if meas.mesh is not None:
             coarse_basis = modes_on_mesh(meas.basis, meas.mesh, coarse_mesh)
@@ -508,7 +515,7 @@ def make_objective(meas: Measurements, coarse_mesh: TriMesh,
                              "mode basis")
     model = CoarseModel(coarse_mesh, coarse_basis)
 
-    if noise is not None and noise.kind == "coefficient":
+    if noise is not None:
         def fn(abar):
             return coefficient_noise_objective(abar, meas, noise, model)
         return fn

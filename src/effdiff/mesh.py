@@ -50,9 +50,6 @@ class TriMesh:
             raise ValueError("not a periodic cell mesh")
         return int(self.dof_of_node.max()) + 1
 
-    def node_index(self, i: int, j: int) -> int:
-        return i + j * (self.n + 1)
-
 
 def _grid(n: int) -> tuple[np.ndarray, np.ndarray]:
     xs = np.linspace(0.0, 1.0, n + 1)

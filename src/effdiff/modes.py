@@ -15,6 +15,7 @@ function, which keeps the operator symmetric.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Callable
 
 import numpy as np
@@ -100,7 +101,10 @@ class RModeOperator:
         self.mesh = mesh
         self.mass = boundary_mass_matrix(mesh)
         self.solver = NeumannSolver(mesh, constant_field(SymMat.identity()))
-        self.chol = sla.cholesky(self.mass.toarray(), lower=True)
+
+    @cached_property
+    def chol(self) -> np.ndarray:   # only the dense reference apply_y reads it
+        return sla.cholesky(self.mass.toarray(), lower=True)
 
     def apply(self, g: np.ndarray) -> np.ndarray:
         g = zero_mean_project(self.mesh, self.mass, g)

@@ -249,7 +249,6 @@ class NeumannSolver:
 class CorrectorSolution:
     values: np.ndarray   # nodal values on the full (n+1)^2 grid
     reduced: np.ndarray  # values on the n^2 independent DOFs
-    direction: np.ndarray
 
 
 def _periodic_reduction(mesh: TriMesh) -> sp.csr_matrix:
@@ -303,4 +302,4 @@ class CorrectorSolver:
         np.add.at(f_full, self.mesh.triangles.ravel(), local.ravel())
         reduced = self._lu.solve(self.reduction.T @ f_full)
         return CorrectorSolution(values=self.reduction @ reduced,
-                                 reduced=reduced, direction=p)
+                                 reduced=reduced)

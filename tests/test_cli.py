@@ -1,4 +1,5 @@
 import csv
+import glob
 import json
 import os
 
@@ -6,6 +7,10 @@ import pytest
 
 from effdiff.cli import EXIT_CONFIG_MISSING, EXIT_DOF_CAP, EXIT_OK, \
     EXIT_SCHEMA, OUTPUT_ENV_VAR, load_config, main, resolve_report
+
+
+CONFIGS = sorted(glob.glob(os.path.join(os.path.dirname(__file__), os.pardir,
+                                        "configs", "*.json")))
 
 
 def write_config(tmp_path, doc, name="cfg.json"):
@@ -175,3 +180,49 @@ def test_resolve_report_states_noise_draws():
     cfg = RunConfig(experiment="noise_measurement", epsilons=[0.2])
     lines = "\n".join(resolve_report(cfg))
     assert "draws = 40" in lines
+
+
+@pytest.mark.parametrize("path", CONFIGS, ids=os.path.basename)
+def test_shipped_configs_validate(path):
+    assert main([path, "--validate"]) == EXIT_OK
+
+
+@pytest.mark.parametrize("experiment", ["noise_measurement",
+                                        "noise_coefficient", "me_ms_check"])
+def test_empty_epsilons_rejected(tmp_path, capsys, experiment):
+    path = write_config(tmp_path, {"schema_version": 1,
+                                   "experiment": experiment, "epsilons": []})
+    assert main([path, "--validate"]) == EXIT_SCHEMA
+    assert "'epsilons' must not be empty" in capsys.readouterr().err
+
+
+def test_checkerboard_auto_p_runs_the_validated_p(tmp_path, capsys):
+    doc = {"schema_version": 1, "experiment": "sweep",
+           "coefficient": "checkerboard", "epsilons": [0.25],
+           "strategies": ["ME"], "P": "auto", "Q": 5, "r": 2, "M1": 2,
+           "coarse_H": 0.2}
+    path = write_config(tmp_path, doc)
+    assert main([path, "--validate"]) == EXIT_OK
+    assert "eps = 0.25: P = 5," in capsys.readouterr().out
+    assert main([path, "--out", str(tmp_path)]) == EXIT_OK
+    recs = json.loads((tmp_path / "results.json").read_text())["records"]
+    assert [rec["P"] for rec in recs] == [5]
+
+
+def test_me_ms_check_cap_counts_the_capped_mesh(tmp_path, capsys):
+    # the run caps the mesh at n = 128, so the desk cap must not count the
+    # 32,012,964 nodes that h = eps / r alone would give
+    doc = {"schema_version": 1, "experiment": "me_ms_check",
+           "epsilons": [0.005], "r": 20}
+    assert main([write_config(tmp_path, doc), "--validate"]) == EXIT_OK
+    assert "eps = 0.005: fine n = 128 (16641 nodes)" \
+        in capsys.readouterr().out
+
+
+def test_validate_noise_reports_first_epsilon_only(tmp_path, capsys):
+    doc = {"schema_version": 1, "experiment": "noise_measurement",
+           "epsilons": [0.2, 0.1]}
+    assert main([write_config(tmp_path, doc), "--validate"]) == EXIT_OK
+    out = capsys.readouterr().out
+    assert "eps = 0.2: P = 5" in out
+    assert "eps = 0.1" not in out

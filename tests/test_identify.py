@@ -386,6 +386,27 @@ def test_noise_spec_validation():
         NoiseSpec(kind="other", sigma=1.0)
 
 
+def test_measurement_noise_spec_rejected_by_objective(coarse_mesh):
+    basis = affine_modes(coarse_mesh)
+    meas = simulate_measurements(coarse_mesh,
+                                 constant_field(SymMat.identity(8.0)), basis)
+    spec = NoiseSpec(kind="measurement", sigma=0.1, seed=1)
+    with pytest.raises(ValueError, match="measurement noise goes"):
+        make_objective(meas, coarse_mesh, noise=spec)
+    with pytest.raises(ValueError, match="measurement noise goes"):
+        identify(meas, coarse_mesh, SymMat.identity(9.0), noise=spec)
+
+
+@pytest.mark.parametrize("kind", ["psi_max", "ms", "mv"])
+def test_coefficient_noise_needs_energy_objective(coarse_mesh, kind):
+    basis = affine_modes(coarse_mesh)
+    meas = simulate_measurements(coarse_mesh,
+                                 constant_field(SymMat.identity(8.0)), basis)
+    spec = NoiseSpec(kind="coefficient", sigma=1.0, draws=2, seed=0)
+    with pytest.raises(ValueError, match="psi_sigma"):
+        make_objective(meas, coarse_mesh, kind, noise=spec)
+
+
 def test_coefficient_noise_degenerates_to_clean(coarse_mesh):
     basis = affine_modes(coarse_mesh)
     a0 = SymMat(8.0, 0.0, 8.0)
