@@ -69,17 +69,24 @@ class RunConfig:
     sigmas: list = field(default_factory=lambda: [0.01, 0.05, 0.1])
     sigma: float = 2.0
     base_seed: int = 0
-    cell_n: int = 512
+    cell_n: int = 256        # A* extrapolated from cells cell_n / 2, cell_n
     profile: str = "desk"
     out_csv: str = "results.csv"
     out_json: str = "results.json"
     workers: int = 1
     grid: list = field(default_factory=lambda: [1.0, 3.0, 2001])
 
+    def run_coefficient(self) -> str:
+        """The coefficient the run measures: only sweeps read the config's
+        coefficient, the other runs use the periodic field."""
+        if self.experiment in ("identify", "sweep"):
+            return self.coefficient
+        return "periodic_smooth"
+
     def resolved_r(self) -> float:
         if self.r is not None:
             return self.r
-        if self.coefficient == "checkerboard":
+        if self.run_coefficient() == "checkerboard":
             return 20.0 if self.profile == "full" else 10.0
         return 40.0 if self.profile == "full" else 20.0
 
@@ -104,12 +111,10 @@ class RunConfig:
         return self.epsilons
 
     def fine_n(self, eps: float) -> int:
-        """The fine-mesh subdivisions the run uses at ``eps``; only sweeps
-        read the coefficient, the other runs use the periodic field."""
-        sweeps = self.experiment in ("identify", "sweep")
+        """The fine-mesh subdivisions the run uses at ``eps``."""
         cap = ME_MS_CHECK_MAX_N if self.experiment == "me_ms_check" else None
-        return fine_n(self.coefficient if sweeps else "periodic_smooth", eps,
-                      self.resolved_r(), max_n=cap)
+        return fine_n(self.run_coefficient(), eps, self.resolved_r(),
+                      max_n=cap)
 
 
 def _expect(cond: bool, message: str) -> None:
@@ -176,7 +181,8 @@ def load_config(path: str) -> RunConfig:
             ("M1", "m1", lambda v: isinstance(v, int) and v >= 1),
             ("M2", "m2", lambda v: isinstance(v, int) and v >= 2),
             ("base_seed", "base_seed", lambda v: isinstance(v, int)),
-            ("cell_n", "cell_n", lambda v: isinstance(v, int) and v >= 2),
+            ("cell_n", "cell_n",
+             lambda v: isinstance(v, int) and v >= 4 and v % 2 == 0),
             ("sigma", "sigma",
              lambda v: isinstance(v, (int, float)) and v >= 0)):
         if key in doc:
@@ -229,14 +235,16 @@ def resolve_report(cfg: RunConfig) -> list[str]:
                 if identifies else ""
             lines.append(f"eps = {eps}: {modes}fine n = {n} "
                          f"({(n + 1) ** 2} nodes)")
-        if identifies and cfg.coefficient == "checkerboard" \
+        if cfg.run_coefficient() == "checkerboard" \
                 or cfg.experiment == "noise_coefficient":
             lines.append(f"M1 = {cfg.resolved_m1()}")
         if cfg.experiment == "noise_measurement":
             lines.append(f"M2 = {cfg.resolved_m2()}, "
                          f"draws = {cfg.resolved_draws()}")
     if cfg.experiment == "homogenize":
-        lines.append(f"cell_n: {cfg.cell_n}")
+        lines.append(f"cell_n: {cfg.cell_n}" + (
+            f" (A* extrapolated from cells {cfg.cell_n // 2} and "
+            f"{cfg.cell_n})" if cfg.coefficient == "periodic_smooth" else ""))
     if cfg.experiment == "one_d_profile":
         lines.append(f"grid: {cfg.grid}")
     return lines

@@ -13,9 +13,9 @@ from effdiff.modes import compute_r_modes
 
 
 @pytest.fixture(scope="session")
-def astar_512():
-    # the default reference is the 512-cell one; sharing its cache with the
-    # sweeps runs that corrector solve once per session
+def a_star():
+    # the default reference is the one the sweeps use; sharing its cache
+    # with them runs its corrector solves once per session
     return periodic_reference()
 
 

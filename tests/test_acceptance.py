@@ -38,11 +38,11 @@ def verdict(num, title):
     print(f"[acceptance {num:02d}] PASS  {title}", flush=True)
 
 
-def test_01_periodic_homogenized_reference(astar_512):
+def test_01_periodic_homogenized_reference(a_star):
     with verdict(1, "periodic homogenized reference matrix"):
-        assert 19.24 <= astar_512.a11 <= 19.43
-        assert 11.77 <= astar_512.a22 <= 11.89
-        assert abs(astar_512.a12) <= 5e-3
+        assert 19.24 <= a_star.a11 <= 19.43
+        assert 11.77 <= a_star.a22 <= 11.89
+        assert abs(a_star.a12) <= 5e-3
 
 
 def test_02_constant_field_fixed_point():
@@ -67,7 +67,7 @@ def test_03_one_d_harmonic_mean_oracle():
         assert abs(argmin - math.sqrt(3.0)) < 2e-3
 
 
-def test_04_identification_consistency_with_homogenization(astar_512,
+def test_04_identification_consistency_with_homogenization(a_star,
                                                            periodic_cache):
     with verdict(4, "energy identification converges to the reference "
                     "at second order in epsilon"):
@@ -75,7 +75,7 @@ def test_04_identification_consistency_with_homogenization(astar_512,
         errs = []
         for eps in epss:
             rec = identify_periodic(eps, r=20.0, p=3, q=11, coarse_h=0.02,
-                                    strategy="ME", a_star=astar_512,
+                                    strategy="ME", a_star=a_star,
                                     compute_err_eps_q=False,
                                     meas_cache=periodic_cache)
             errs.append(rec["err_star"])
@@ -85,18 +85,18 @@ def test_04_identification_consistency_with_homogenization(astar_512,
         assert 1.5 <= slope <= 2.6
 
 
-def test_05_operator_accuracy(astar_512, periodic_cache):
+def test_05_operator_accuracy(a_star, periodic_cache):
     with verdict(5, "worst-case solution error small at fine scale and "
                     "competitive with the reference at coarse scale"):
         rec_fine = identify_periodic(0.05, r=20.0, q=11, strategy="ME",
-                                     a_star=astar_512,
+                                     a_star=a_star,
                                      meas_cache=periodic_cache)
         assert rec_fine["err_eps_q"] <= 0.10
         rec_me = identify_periodic(0.2, r=20.0, q=11, strategy="ME",
-                                   a_star=astar_512,
+                                   a_star=a_star,
                                    meas_cache=periodic_cache)
         rec_ref = identify_periodic(0.2, r=20.0, q=11, strategy="A_star",
-                                    a_star=astar_512,
+                                    a_star=a_star,
                                     meas_cache=periodic_cache)
         assert rec_ref["err_eps_q"] >= rec_me["err_eps_q"] - 0.02
 

@@ -226,3 +226,30 @@ def test_validate_noise_reports_first_epsilon_only(tmp_path, capsys):
     out = capsys.readouterr().out
     assert "eps = 0.2: P = 5" in out
     assert "eps = 0.1" not in out
+
+
+@pytest.mark.parametrize("cell_n", [2, 3, 255])
+def test_cell_n_must_be_even(tmp_path, capsys, cell_n):
+    # A* is extrapolated from cells cell_n / 2 and cell_n
+    doc = {"schema_version": 1, "experiment": "homogenize", "cell_n": cell_n}
+    assert main([write_config(tmp_path, doc), "--validate"]) == EXIT_SCHEMA
+    assert "'cell_n'" in capsys.readouterr().err
+
+
+def test_validate_homogenize_reports_both_cells(tmp_path, capsys):
+    doc = {"schema_version": 1, "experiment": "homogenize"}
+    assert main([write_config(tmp_path, doc), "--validate"]) == EXIT_OK
+    assert "cell_n: 256 (A* extrapolated from cells 128 and 256)" \
+        in capsys.readouterr().out
+
+
+def test_noise_run_resolves_r_from_the_periodic_field(tmp_path, capsys):
+    # the noise studies measure the periodic field whatever the config's
+    # coefficient says, so r, the fine mesh and M1 follow that field
+    doc = {"schema_version": 1, "experiment": "noise_measurement",
+           "coefficient": "checkerboard", "epsilons": [0.05]}
+    assert main([write_config(tmp_path, doc), "--validate"]) == EXIT_OK
+    out = capsys.readouterr().out
+    assert "r: 20.0" in out
+    assert "fine n = 566 (" in out
+    assert "M1" not in out

@@ -31,10 +31,23 @@ def test_layered_field_mixes_means():
 
 
 def test_periodic_reference_values():
-    out = periodic_reference()   # 512-cell corrector solve, cached
+    out = periodic_reference()   # extrapolated from cells 128 and 256
     assert abs(out.a11 - 19.3378) / 19.3378 < 5e-3
     assert abs(out.a22 - 11.8312) / 11.8312 < 5e-3
     assert abs(out.a12) < 1e-3
+
+
+def test_periodic_reference_extrapolation_converged():
+    # the (64, 128) extrapolation already agrees with the default (128, 256)
+    # one; a single 128-cell solve is 2.7e-4 off in a11
+    coarse, fine = periodic_reference(128), periodic_reference()
+    assert np.abs(coarse.vec() - fine.vec()).max() < 1e-6
+
+
+@pytest.mark.parametrize("cell_n", [2, 3, 255])
+def test_periodic_reference_needs_even_cell(cell_n):
+    with pytest.raises(ValueError, match="even cell_n"):
+        periodic_reference(cell_n)
 
 
 def test_voigt_reuss_bounds():
