@@ -6,8 +6,8 @@ from .coefficients import CheckerboardRealization, CoefficientField, SymMat, \
     sample_checkerboard, scale_epsilon
 from .experiments import err_eps_q, err_star, identify_checkerboard, \
     identify_periodic, one_d_profile, sweep
-from .homogenization import HomogenizedReference, checkerboard_exact, \
-    harmonic_mean_1d, homogenized_matrix
+from .homogenization import checkerboard_exact, harmonic_mean_1d, \
+    homogenized_matrix
 from .identify import CoarseModel, Measurements, NoiseSpec, OptimizerTrace, \
     apply_measurement_noise, descend, identify, me_ms_identity_check, \
     simulate_measurements

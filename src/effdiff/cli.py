@@ -21,10 +21,10 @@ import numpy as np
 
 from .coefficients import SymMat, constant_field, periodic_smooth_field, \
     scale_epsilon
-from .experiments import DEFAULT_COARSE_H, ME_MS_CHECK_MAX_N, \
-    coarse_mesh_n, coefficient_noise_study, fine_n, \
-    measurement_noise_study, one_d_profile, periodic_reference, record, \
-    resolve_p, sweep, write_csv, write_json
+from .experiments import CHECKERBOARD_STRATEGIES, DEFAULT_COARSE_H, \
+    ME_MS_CHECK_MAX_N, STRATEGIES, coarse_mesh_n, coefficient_noise_study, \
+    fine_n, measurement_noise_study, one_d_profile, periodic_reference, \
+    record, resolve_p, sweep, write_csv, write_json
 from .homogenization import checkerboard_exact, homogenized_matrix
 from .identify import me_ms_identity_check
 from .mesh import build_periodic_cell_mesh, build_unit_square_mesh
@@ -42,6 +42,9 @@ EXIT_DOF_CAP = 4
 EXPERIMENTS = ("homogenize", "identify", "sweep", "noise_measurement",
                "noise_coefficient", "one_d_profile", "me_ms_check")
 COEFFICIENTS = ("periodic_smooth", "checkerboard", "constant")
+# the coefficients a sweep runs on, with the strategies of each
+SWEEP_STRATEGIES = {"periodic_smooth": STRATEGIES,
+                    "checkerboard": CHECKERBOARD_STRATEGIES}
 FINE_MESH_EXPERIMENTS = ("identify", "sweep", "noise_measurement",
                          "noise_coefficient", "me_ms_check")
 FIRST_EPSILON_EXPERIMENTS = ("noise_measurement", "noise_coefficient",
@@ -209,6 +212,16 @@ def load_config(path: str) -> RunConfig:
     cfg.out_csv = out.get("csv", cfg.out_csv)
     cfg.out_json = out.get("json", cfg.out_json)
 
+    if cfg.experiment in ("identify", "sweep"):
+        allowed = SWEEP_STRATEGIES.get(cfg.coefficient)
+        _expect(allowed is not None,
+                f"{cfg.experiment} runs on {tuple(SWEEP_STRATEGIES)}, "
+                f"not {cfg.coefficient!r}")
+        unknown = [s for s in cfg.strategies if s not in allowed]
+        _expect(not unknown, f"strategies {unknown} do not run on "
+                             f"{cfg.coefficient}; expected from {allowed}")
+    _expect("cell_n" not in doc or cfg.experiment == "homogenize",
+            "'cell_n' is read by homogenize only")
     _expect(cfg.epsilons or cfg.experiment not in FIRST_EPSILON_EXPERIMENTS,
             f"'epsilons' must not be empty for {cfg.experiment}")
     for eps in cfg.run_epsilons():
@@ -269,9 +282,9 @@ def run_experiment(cfg: RunConfig) -> list[dict]:
         if cfg.coefficient == "constant":
             m = cfg.constant_entries or SymMat.identity()
             cell = build_periodic_cell_mesh(min(cfg.cell_n, 64))
-            a = homogenized_matrix(cell, constant_field(m)).matrix
+            a = homogenized_matrix(cell, constant_field(m))
         elif cfg.coefficient == "checkerboard":
-            a = checkerboard_exact().matrix
+            a = checkerboard_exact()
         else:
             a = periodic_reference(cfg.cell_n)
         return [record("homogenize", "A_star", None, a,

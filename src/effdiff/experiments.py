@@ -38,6 +38,7 @@ CSV_COLUMNS = ["experiment", "strategy", "epsilon", "P", "Q", "r", "seed",
                "iters", "wall_ms"]
 
 STRATEGIES = ("ME", "MS", "MV", "A_star", "ME-affine")
+CHECKERBOARD_STRATEGIES = ("ME", "MS", "A_star")
 
 DEFAULT_COARSE_H = 0.05
 ME_MS_CHECK_MAX_N = 128
@@ -143,16 +144,6 @@ def err_eps_q(abar: SymMat, meas: Measurements, coarse_mesh: TriMesh,
     return float(math.sqrt(max(vals[-1], 0.0)))
 
 
-def err_eps_q_expect(abar: SymMat, eps: float, q: int, r: float,
-                     m1: int, base_seed: int,
-                     coarse_h: float = DEFAULT_COARSE_H) -> float:
-    """Same metric with the measured fields replaced by their sample mean
-    over checkerboard realizations."""
-    batch = _checkerboard_batch(eps, q, r, m1, base_seed)
-    coarse = build_unit_square_mesh(coarse_mesh_n(coarse_h))
-    return err_eps_q(abar, mean_measurements(batch), coarse)
-
-
 def parallel_map(fn: Callable, items: Iterable, workers: int = 1) -> list:
     """Order-preserving map, optionally over a thread pool.
 
@@ -232,7 +223,7 @@ def periodic_reference(cell_n: int = 256) -> SymMat:
     if cell_n < 4 or cell_n % 2:
         raise ValueError(f"need an even cell_n >= 4, got {cell_n}")
     coarse, fine = (homogenized_matrix(build_periodic_cell_mesh(n),
-                                       periodic_smooth_field()).matrix.vec()
+                                       periodic_smooth_field()).vec()
                     for n in (cell_n // 2, cell_n))
     return SymMat.from_vec((4.0 * fine - coarse) / 3.0)
 
@@ -321,7 +312,7 @@ def identify_checkerboard(eps: float, r: float = 10.0, p: int | None = None,
                           compute_err_eps_q: bool = True,
                           meas_cache: dict | None = None) -> dict:
     """Identification against mean observables over M1 checkerboards."""
-    if strategy not in ("ME", "MS", "A_star"):
+    if strategy not in CHECKERBOARD_STRATEGIES:
         raise ValueError(f"strategy {strategy!r} not supported on the "
                          "random case")
     return _identify_record(
@@ -329,7 +320,7 @@ def identify_checkerboard(eps: float, r: float = 10.0, p: int | None = None,
         coarse_h, meas_cache, (eps, r, q, m1, base_seed),
         lambda: mean_measurements(
             _checkerboard_batch(eps, q, r, m1, base_seed)),
-        checkerboard_exact().matrix,
+        checkerboard_exact(),
         SymMat.identity(10.0),  # the phase average
         compute_err_eps_q, M1=m1)
 

@@ -37,8 +37,8 @@ from .solver import NeumannSolver, assemble_volume_mass, unit_stiffnesses
 class Measurements:
     """Observables recorded against one mode basis.
 
-    ``cross[p, q]`` is the boundary inner product of mode q with the trace
-    of the solution driven by mode p; its diagonal is -2 * energies.
+    ``cross[p, q]`` is the boundary inner product of mode p with the trace
+    of the solution driven by mode q; its diagonal is -2 * energies.
     Traces and volume fields are optional and only needed by the surface
     and volume baseline objectives.
     """
@@ -185,7 +185,10 @@ def assemble_m(meas: Measurements, coarse: CoarseEvaluation,
         delta = meas.energies - coarse.energies
         return np.diag(-delta), True
     mb = coarse.solver.boundary_mass
-    s_coarse = coarse_basis.modes @ (mb @ coarse.traces.T)  # (q, p)
+    # s_coarse[p, q], like meas.cross[p, q], pairs mode p with the trace
+    # driven by q, so meas.cross.T is oriented the other way; the average
+    # with the transpose makes the orientation of either table irrelevant
+    s_coarse = coarse_basis.modes @ (mb @ coarse.traces.T)
     m = 0.5 * (meas.cross.T - s_coarse)
     return 0.5 * (m + m.T), False
 
@@ -331,23 +334,6 @@ def draw_matrix_perturbations(abar: SymMat, spec: NoiseSpec,
         else:
             rejected += 1
     return out, rejected
-
-
-def coefficient_noise_objective(abar: SymMat, meas: Measurements,
-                                spec: NoiseSpec, model: CoarseModel
-                                ) -> tuple[float, np.ndarray]:
-    """Energy mismatch against the mean surrogate energy over noisy draws,
-    with its exact gradient.
-
-    The expectation over matrix perturbations sits inside the squared
-    difference; it is approximated by the mean over `draws` seeded
-    realizations, so the objective is deterministic given the NoiseSpec.
-    """
-    if spec.kind != "coefficient":
-        raise ValueError("expected a coefficient-noise spec")
-    draws = [abar] if spec.sigma == 0.0 \
-        else draw_matrix_perturbations(abar, spec)[0]
-    return _energy_mismatch(meas, model, draws)
 
 
 # --- one-dimensional analog with an analytic optimum ----------------------
@@ -516,8 +502,12 @@ def make_objective(meas: Measurements, coarse_mesh: TriMesh,
     model = CoarseModel(coarse_mesh, coarse_basis)
 
     if noise is not None:
+        # the expectation over matrix perturbations sits inside the squared
+        # difference; the mean over seeded draws keeps it deterministic
         def fn(abar):
-            return coefficient_noise_objective(abar, meas, noise, model)
+            draws = [abar] if noise.sigma == 0.0 \
+                else draw_matrix_perturbations(abar, noise)[0]
+            return _energy_mismatch(meas, model, draws)
         return fn
 
     if kind == "psi_sigma":

@@ -240,10 +240,6 @@ class NeumannSolver:
         """Stored energy -1/2 <g, u|boundary> in the boundary mass product."""
         return -0.5 * float(g @ (self.boundary_mass @ self.trace(u)))
 
-    def solve_energy(self, g: np.ndarray) -> tuple[np.ndarray, float]:
-        u = self.solve(g)
-        return u, self.energy(g, u)
-
 
 @dataclass
 class CorrectorSolution:
@@ -261,7 +257,12 @@ def _periodic_reduction(mesh: TriMesh) -> sp.csr_matrix:
 
 
 class CorrectorSolver:
-    """Periodic cell solver sharing one factorization across directions."""
+    """Periodic cell solver sharing one factorization across directions.
+
+    ``loads[i]`` is the reduced load of the corrector in direction e_i,
+    -sum_T |T| grad phi . (A e_i), and ``mean_matrix`` the cell mean
+    sum_T |T| A, both in the one-point quadrature of the stiffness.
+    """
 
     def __init__(self, cell_mesh: TriMesh, field: CoefficientField):
         if cell_mesh.dof_of_node is None:
@@ -278,9 +279,13 @@ class CorrectorSolver:
         self.reduction = _periodic_reduction(cell_mesh)
 
         areas, grads, bary = triangle_geometry(cell_mesh)
-        self._areas = areas
-        self._grads = grads
-        self._amat = field(bary)
+        amat = field(bary)
+        self.mean_matrix = np.einsum("t,tij->ij", areas, amat)
+        local = -np.einsum("tai,tij->jta", grads, amat) * areas[:, None]
+        dofs = cell_mesh.dof_of_node[cell_mesh.triangles].ravel()
+        self.loads = np.zeros((2, cell_mesh.num_periodic_dofs))
+        for f, f_local in zip(self.loads, local):
+            np.add.at(f, dofs, f_local.ravel())
 
         k_full = assemble_stiffness(cell_mesh, field)
         k_red = (self.reduction.T @ k_full @ self.reduction).tocsr()
@@ -294,12 +299,7 @@ class CorrectorSolver:
                             self.reduction.T @ w_full)
 
     def solve(self, p) -> CorrectorSolution:
-        p = np.asarray(p, dtype=float)
-        # rhs_a = -sum_T |T| grad phi_a . (A p)
-        ap = np.einsum("tij,j->ti", self._amat, p)
-        local = -np.einsum("tai,ti->ta", self._grads, ap) * self._areas[:, None]
-        f_full = np.zeros(self.mesh.num_nodes)
-        np.add.at(f_full, self.mesh.triangles.ravel(), local.ravel())
-        reduced = self._lu.solve(self.reduction.T @ f_full)
+        """Corrector of direction p, the solution for the load p . loads."""
+        reduced = self._lu.solve(np.asarray(p, dtype=float) @ self.loads)
         return CorrectorSolution(values=self.reduction @ reduced,
                                  reduced=reduced)

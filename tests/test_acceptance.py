@@ -51,7 +51,7 @@ def test_02_constant_field_fixed_point():
         rng = np.random.default_rng(0)
         for _ in range(20):
             m = random_spd(rng)
-            out = homogenized_matrix(cell, constant_field(m)).matrix
+            out = homogenized_matrix(cell, constant_field(m))
             assert np.abs(out.vec() - m.vec()).max() < 1e-10
 
 

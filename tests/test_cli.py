@@ -44,6 +44,12 @@ def test_schema_violations(tmp_path, capsys):
         base_doc(coefficient={"kind": "constant", "a11": 1.0}),
         base_doc(grid=[3.0, 1.0, 100]),
         base_doc(profile="laptop"),
+        {"schema_version": 1, "experiment": "sweep",
+         "coefficient": "checkerboard", "strategies": ["MV", "bogus"]},
+        {"schema_version": 1, "experiment": "sweep",
+         "coefficient": {"kind": "constant", "a11": 2.0, "a12": 0.0,
+                         "a22": 1.0}},
+        {"schema_version": 1, "experiment": "sweep", "cell_n": 64},
     ]
     for doc in cases:
         code = main([write_config(tmp_path, doc)])

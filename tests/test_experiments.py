@@ -7,11 +7,10 @@ import pytest
 
 from effdiff import experiments
 from effdiff.coefficients import SymMat, constant_field, sample_checkerboard
-from effdiff.experiments import CSV_COLUMNS, _checkerboard_batch, \
-    coarse_mesh_n, err_eps_q, err_eps_q_expect, err_star, fine_mesh_n, \
-    one_d_profile, parallel_map, sweep, take_measurements, take_modes, \
-    write_csv, write_json
-from effdiff.identify import mean_measurements, simulate_measurements
+from effdiff.experiments import CSV_COLUMNS, coarse_mesh_n, err_eps_q, \
+    err_star, fine_mesh_n, one_d_profile, parallel_map, sweep, \
+    take_measurements, take_modes, write_csv, write_json
+from effdiff.identify import simulate_measurements
 from effdiff.mesh import build_unit_square_mesh
 from effdiff.modes import affine_modes
 
@@ -98,27 +97,6 @@ def test_err_eps_q_requires_fields():
                             mesh=mesh)
     with pytest.raises(ValueError):
         err_eps_q(SymMat.identity(), stripped, mesh, basis)
-
-
-def test_err_eps_q_expect_single_realization_matches_direct():
-    eps, q, r, seed = 0.25, 3, 2.0, 5
-    at = SymMat.identity(9.0)
-    via_expect = err_eps_q_expect(at, eps, q, r, m1=1, base_seed=seed)
-    batch = _checkerboard_batch(eps, q, r, 1, seed)
-    coarse = build_unit_square_mesh(coarse_mesh_n())
-    direct = err_eps_q(at, mean_measurements(batch), coarse)
-    assert abs(via_expect - direct) < 1e-12
-
-
-def test_err_eps_q_expect_uses_coarse_h():
-    eps, q, r, seed = 0.25, 3, 2.0, 5
-    at = SymMat.identity(9.0)
-    via_expect = err_eps_q_expect(at, eps, q, r, m1=1, base_seed=seed,
-                                  coarse_h=0.2)
-    coarse = build_unit_square_mesh(coarse_mesh_n(0.2))
-    direct = err_eps_q(at, mean_measurements(_checkerboard_batch(
-        eps, q, r, 1, seed)), coarse)
-    assert abs(via_expect - direct) < 1e-12
 
 
 def test_parallel_map_matches_serial():

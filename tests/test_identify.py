@@ -4,8 +4,7 @@ import pytest
 from effdiff.coefficients import SymMat, constant_field, \
     periodic_smooth_field, scale_epsilon
 from effdiff.identify import CoarseModel, Measurements, NoiseSpec, \
-    apply_measurement_noise, assemble_m, \
-    coefficient_noise_objective, descend, draw_matrix_perturbations, \
+    apply_measurement_noise, assemble_m, descend, draw_matrix_perturbations, \
     fd_gradient, identify, make_objective, me_ms_identity_check, \
     mean_measurements, one_d_noise_descent, one_d_noise_objective, \
     one_d_noise_optimum, psi_max_from_m, psi_sigma_value, simulate_measurements
@@ -411,23 +410,22 @@ def test_coefficient_noise_degenerates_to_clean(coarse_mesh):
     basis = affine_modes(coarse_mesh)
     a0 = SymMat(8.0, 0.0, 8.0)
     meas = simulate_measurements(coarse_mesh, constant_field(a0), basis)
-    model = CoarseModel(coarse_mesh, basis)
     at = SymMat(9.0, 0.2, 7.0)
     spec = NoiseSpec(kind="coefficient", sigma=0.0, draws=5, seed=0)
-    clean = model.evaluate(at)
-    assert abs(coefficient_noise_objective(at, meas, spec, model)[0]
-               - psi_sigma_value(meas, clean)) < 1e-15
+    noisy = make_objective(meas, coarse_mesh, noise=spec)(at)
+    clean = make_objective(meas, coarse_mesh)(at)
+    assert noisy[0] == clean[0]
+    assert np.array_equal(noisy[1], clean[1])
 
 
 def test_coefficient_noise_deterministic(coarse_mesh):
     basis = affine_modes(coarse_mesh)
     meas = simulate_measurements(coarse_mesh,
                                  constant_field(SymMat.identity(8.0)), basis)
-    model = CoarseModel(coarse_mesh, basis)
     spec = NoiseSpec(kind="coefficient", sigma=1.0, draws=4, seed=11)
     at = SymMat.identity(9.0)
-    v1 = coefficient_noise_objective(at, meas, spec, model)[0]
-    v2 = coefficient_noise_objective(at, meas, spec, model)[0]
+    v1 = make_objective(meas, coarse_mesh, noise=spec)(at)[0]
+    v2 = make_objective(meas, coarse_mesh, noise=spec)(at)[0]
     assert v1 == v2
 
 

@@ -71,10 +71,9 @@ def test_affine_solution_general_constant_matrix():
 def test_energy_scales_inversely_with_coefficient():
     mesh = build_unit_square_mesh(10)
     g = normal_trace_datum(mesh, [0.3, -0.7])
-    e1 = NeumannSolver(mesh, constant_field(SymMat.identity())) \
-        .solve_energy(g)[1]
-    e3 = NeumannSolver(mesh, constant_field(SymMat.identity(3.0))) \
-        .solve_energy(g)[1]
+    e1, e3 = (solver.energy(g, solver.solve(g)) for solver in (
+        NeumannSolver(mesh, constant_field(SymMat.identity(s)))
+        for s in (1.0, 3.0)))
     assert abs(e1 - 3.0 * e3) < 1e-12
     assert e1 < 0.0
 
@@ -213,14 +212,15 @@ def test_pinned_corrector_solve_matches_dense_reference(n):
     solver = CorrectorSolver(cell, field)
     red = solver.reduction
     k = (red.T @ assemble_stiffness(cell, field) @ red).toarray()
-    areas, _, _ = triangle_geometry(cell)
+    areas, grads, bary = triangle_geometry(cell)
+    amat = field(bary)
     w_full = np.zeros(cell.num_nodes)
     np.add.at(w_full, cell.triangles.ravel(), np.repeat(areas / 3.0, 3))
     for p in ([1.0, 0.0], [0.0, 1.0], [0.6, -0.8]):
         sol = solver.solve(p)
-        # the load, as CorrectorSolver.solve assembles it
-        ap = np.einsum("tij,j->ti", solver._amat, np.asarray(p))
-        local = -np.einsum("tai,ti->ta", solver._grads, ap) * areas[:, None]
+        # load_a = -sum_T |T| grad phi_a . (A p), one-point quadrature
+        ap = np.einsum("tij,j->ti", amat, np.asarray(p))
+        local = -np.einsum("tai,ti->ta", grads, ap) * areas[:, None]
         f_full = np.zeros(cell.num_nodes)
         np.add.at(f_full, cell.triangles.ravel(), local.ravel())
         ref = zero_mean_reference(k, red.T @ w_full, red.T @ f_full)
