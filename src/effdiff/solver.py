@@ -281,11 +281,12 @@ class CorrectorSolver:
         areas, grads, bary = triangle_geometry(cell_mesh)
         amat = field(bary)
         self.mean_matrix = np.einsum("t,tij->ij", areas, amat)
-        local = -np.einsum("tai,tij->jta", grads, amat) * areas[:, None]
+        # local[T, a, i] = -|T| grad phi_a . (A e_i)
+        local = -(grads @ amat) * areas[:, None, None]
         dofs = cell_mesh.dof_of_node[cell_mesh.triangles].ravel()
         self.loads = np.zeros((2, cell_mesh.num_periodic_dofs))
-        for f, f_local in zip(self.loads, local):
-            np.add.at(f, dofs, f_local.ravel())
+        for i, f in enumerate(self.loads):
+            np.add.at(f, dofs, local[:, :, i].ravel())
 
         k_full = assemble_stiffness(cell_mesh, field)
         k_red = (self.reduction.T @ k_full @ self.reduction).tocsr()
