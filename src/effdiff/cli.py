@@ -113,6 +113,16 @@ class RunConfig:
             return self.epsilons[:1]
         return self.epsilons
 
+    def homogenize_cell_n(self) -> int | None:
+        """The corrector cell ``homogenize`` solves: ``cell_n`` for the
+        periodic field, at most 64 for a constant coefficient, and none for
+        the checkerboard, whose matrix is known in closed form."""
+        if self.coefficient == "checkerboard":
+            return None
+        if self.coefficient == "constant":
+            return min(self.cell_n, 64)
+        return self.cell_n
+
     def fine_n(self, eps: float) -> int:
         """The fine-mesh subdivisions the run uses at ``eps``."""
         cap = ME_MS_CHECK_MAX_N if self.experiment == "me_ms_check" else None
@@ -220,6 +230,9 @@ def load_config(path: str) -> RunConfig:
         unknown = [s for s in cfg.strategies if s not in allowed]
         _expect(not unknown, f"strategies {unknown} do not run on "
                              f"{cfg.coefficient}; expected from {allowed}")
+    _expect("strategies" not in doc
+            or cfg.experiment in ("identify", "sweep"),
+            "'strategies' is read by identify and sweep only")
     _expect("cell_n" not in doc or cfg.experiment == "homogenize",
             "'cell_n' is read by homogenize only")
     _expect(cfg.epsilons or cfg.experiment not in FIRST_EPSILON_EXPERIMENTS,
@@ -255,9 +268,10 @@ def resolve_report(cfg: RunConfig) -> list[str]:
             lines.append(f"M2 = {cfg.resolved_m2()}, "
                          f"draws = {cfg.resolved_draws()}")
     if cfg.experiment == "homogenize":
-        lines.append(f"cell_n: {cfg.cell_n}" + (
-            f" (A* extrapolated from cells {cfg.cell_n // 2} and "
-            f"{cfg.cell_n})" if cfg.coefficient == "periodic_smooth" else ""))
+        cell_n = cfg.homogenize_cell_n()
+        lines.append(f"cell_n: {cell_n}" + (
+            f" (A* extrapolated from cells {cell_n // 2} and {cell_n})"
+            if cfg.coefficient == "periodic_smooth" else ""))
     if cfg.experiment == "one_d_profile":
         lines.append(f"grid: {cfg.grid}")
     return lines
@@ -279,17 +293,18 @@ def dof_cap_error(cfg: RunConfig) -> str | None:
 def run_experiment(cfg: RunConfig) -> list[dict]:
     if cfg.experiment == "homogenize":
         t0 = time.perf_counter()
+        cell_n = cfg.homogenize_cell_n()
         if cfg.coefficient == "constant":
             m = cfg.constant_entries or SymMat.identity()
-            cell = build_periodic_cell_mesh(min(cfg.cell_n, 64))
+            cell = build_periodic_cell_mesh(cell_n)
             a = homogenized_matrix(cell, constant_field(m))
         elif cfg.coefficient == "checkerboard":
             a = checkerboard_exact()
         else:
-            a = periodic_reference(cfg.cell_n)
+            a = periodic_reference(cell_n)
         return [record("homogenize", "A_star", None, a,
                        wall_ms=1000.0 * (time.perf_counter() - t0),
-                       cell_n=cfg.cell_n)]
+                       cell_n=cell_n)]
 
     if cfg.experiment in ("identify", "sweep"):
         return sweep(cfg.epsilons, strategies=cfg.strategies,

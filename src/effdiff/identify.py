@@ -60,21 +60,16 @@ def simulate_measurements(mesh: TriMesh, coeff: CoefficientField,
                           basis: ModeBasis,
                           keep_fields: bool = True,
                           provenance: dict | None = None) -> Measurements:
-    """Solve one Neumann problem per mode and record all observables."""
+    """Solve the Neumann problems of all modes at once and record all
+    observables."""
     if basis.mesh_n != mesh.n:
         raise ValueError("mode basis does not live on the measurement mesh")
     solver = NeumannSolver(mesh, coeff)
-    p = basis.count
-    energies = np.empty(p)
-    traces = np.empty((p, mesh.num_boundary_dofs))
-    fields = np.empty((p, mesh.num_nodes)) if keep_fields else None
-    for k in range(p):
-        u = solver.solve(basis.modes[k])
-        traces[k] = solver.trace(u)
-        energies[k] = solver.energy(basis.modes[k], u)
-        if keep_fields:
-            fields[k] = u
+    u = solver.solve(basis.modes.T)   # (num_nodes, P)
+    traces = solver.trace(u).T
+    fields = u.T if keep_fields else None
     cross = basis.modes @ (solver.boundary_mass @ traces.T)
+    energies = -0.5 * np.diag(cross)
     prov = dict(provenance or {})
     prov.setdefault("source", "simulated")
     prov.setdefault("mesh_n", mesh.n)

@@ -3,11 +3,13 @@ Neumann-to-Dirichlet Laplace operator, and the affine normal-trace family.
 
 The Neumann-to-Dirichlet operator is only available through solves, so its
 leading eigenpairs are computed by scipy's ``eigsh`` (ARPACK's implicitly
-restarted Lanczos), one Laplace solve per operator application, against a
-shared factorization.  The operator commutes with the eight symmetries of
+restarted Lanczos), one Laplace solve per operator application.  The grid
+Laplacian is a Kronecker sum of 1-D operators, so each solve is an exact
+separable one in their eigenbasis, with no 2-D factorization (see
+``RModeOperator``).  The operator commutes with the eight symmetries of
 the square and the solve runs in its symmetry sectors, so the group, not a
 tolerance, fixes the multiplicities and the basis (see ``compute_r_modes``),
-which does not depend on the eigensolver or on the factorization's rounding.
+which does not depend on the eigensolver or on the solve's rounding.
 The zero-mean constraint is handled by deflating the constant boundary
 function, which keeps the operator symmetric.
 """
@@ -23,10 +25,8 @@ import scipy.linalg as sla
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from .coefficients import SymMat, constant_field
 from .mesh import TriMesh, boundary_mass_matrix, interpolate_boundary, \
     zero_mean_project
-from .solver import NeumannSolver
 
 
 @dataclass(frozen=True)
@@ -95,21 +95,59 @@ def extreme_eigenpairs(apply_op: Callable[[np.ndarray], np.ndarray],
 
 
 class RModeOperator:
-    """g -> trace of the harmonic extension with Neumann flux g."""
+    """g -> trace of the harmonic extension with Neumann flux g.
+
+    The identity stiffness of the structured n-grid is the Kronecker sum
+    K = D (x) K1 + K1 (x) D of the 1-D P1 Neumann stiffness K1 and the
+    lumped 1-D mass D = h diag(1/2, 1, ..., 1, 1/2), so K is diagonal in
+    V (x) V, where K1 V = D V Lambda and V^T D V = I (Lynch, Rice & Thomas,
+    Numer. Math. 6, 1964).  With the nodal values as an (n+1)-by-(n+1)
+    array U[j, i], K u = b reads D U K1 + K1 U D = B, and U = V C V^T with
+    C = V^T B V / (lambda_a + lambda_b).  B lives on the four sides and only
+    the sides of U are read, so one application costs O(n^2).
+    """
 
     def __init__(self, mesh: TriMesh):
         self.mesh = mesh
         self.mass = boundary_mass_matrix(mesh)
-        self.solver = NeumannSolver(mesh, constant_field(SymMat.identity()))
+        n = mesh.n
+        d = np.full(n + 1, 1.0 / n)
+        d[[0, -1]] *= 0.5
+        # D^-1/2 K1 D^-1/2 with K1 = n tridiag(-1, 2, -1), 1 at both ends
+        k1_diag = np.full(n + 1, 2.0 * n)
+        k1_diag[[0, -1]] = n
+        s = 1.0 / np.sqrt(d)
+        lam, w = sla.eigh_tridiagonal(k1_diag * s * s,
+                                      -n * s[:-1] * s[1:])
+        self._v = w * s[:, None]
+        denom = lam[:, None] + lam[None, :]
+        denom[0, 0] = np.inf   # the constants: their component stays 0
+        self._inv_denom = 1.0 / denom
 
     @cached_property
     def chol(self) -> np.ndarray:   # only the dense reference apply_y reads it
         return sla.cholesky(self.mass.toarray(), lower=True)
 
     def apply(self, g: np.ndarray) -> np.ndarray:
-        g = zero_mean_project(self.mesh, self.mass, g)
-        u = self.solver.solve(g, check_mean=False)
-        return self.solver.trace(u)
+        """Zero-boundary-mean trace of the solution for the load M_b g."""
+        mesh, v, n = self.mesh, self._v, self.mesh.n
+        b = np.zeros(mesh.num_nodes)
+        b[mesh.boundary_loop] = self.mass @ zero_mean_project(mesh,
+                                                              self.mass, g)
+        b = b.reshape(n + 1, n + 1)
+        first, last = v[0], v[n]
+        # V^T B V from the rows j = 0, n and the columns i = 0, n of B
+        c = (np.outer(first, b[0] @ v) + np.outer(last, b[n] @ v)
+             + np.outer(b[1:n, 0] @ v[1:n], first)
+             + np.outer(b[1:n, n] @ v[1:n], last)) * self._inv_denom
+        # rows j = 0, n and columns i = 0, n of U = V C V^T
+        u = np.zeros((n + 1, n + 1))
+        u[0] = (first @ c) @ v.T
+        u[n] = (last @ c) @ v.T
+        u[:, 0] = v @ (c @ first)
+        u[:, n] = v @ (c @ last)
+        trace = u.ravel()[mesh.boundary_loop]
+        return zero_mean_project(mesh, self.mass, trace)
 
     # symmetric conjugated operator y = L^T g
     def to_y(self, g: np.ndarray) -> np.ndarray:

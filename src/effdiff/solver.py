@@ -160,7 +160,8 @@ class PinnedLU:
     node is symmetric positive definite).  A load b is first made
     compatible, b - weights * sum(b) / sum(weights), the load a Lagrange
     multiplier for the constraint would leave; the pinned solution is then
-    shifted by a constant.
+    shifted by a constant.  A load of shape (nodes, k) is k loads, solved
+    at once and shifted column by column.
     """
 
     def __init__(self, k: sp.spmatrix, order: np.ndarray,
@@ -173,11 +174,13 @@ class PinnedLU:
         self.nnz = self._lu.nnz
 
     def solve(self, b: np.ndarray) -> np.ndarray:
-        w = self._weights
-        b = b - w * (b.sum() / w.sum())
-        u = np.zeros_like(b)
-        u[self._free] = self._lu.solve(b[self._free])
-        return u - (w @ u) / w.sum()
+        w, free = self._weights, self._free
+        w_free = w[free].reshape((-1,) + (1,) * (b.ndim - 1))
+        # column-major, the layout SuperLU solves in, so u.T is contiguous
+        u = np.zeros(b.shape, order="F")
+        u[free] = self._lu.solve(b[free] - w_free * (b.sum(axis=0) / w.sum()))
+        u -= (w @ u) / w.sum()
+        return u
 
 
 @functools.lru_cache(maxsize=2)
@@ -197,8 +200,8 @@ class NeumannSolver:
 
     The factorization is computed once and reused across right-hand sides.
     Boundary data live on boundary-loop degrees of freedom and must have
-    zero boundary mean.  Raises ValueError for a field that is not
-    coercive (alpha <= 0).
+    zero boundary mean; a datum of shape (nb, k) is k data, solved at once.
+    Raises ValueError for a field that is not coercive (alpha <= 0).
     """
 
     def __init__(self, mesh: TriMesh, field: CoefficientField):
@@ -212,17 +215,19 @@ class NeumannSolver:
         self._lu = PinnedLU(self.stiffness, order, self._constraint)
 
     def _boundary_load(self, g: np.ndarray) -> np.ndarray:
-        b = np.zeros(self.mesh.num_nodes)
+        b = np.zeros((self.mesh.num_nodes,) + g.shape[1:])
         b[self.mesh.boundary_loop] = self.boundary_mass @ g
         return b
 
     def solve(self, g: np.ndarray, check_mean: bool = True) -> np.ndarray:
         """Nodal solution with zero boundary mean; g over boundary DOFs."""
-        mean = float(self._constraint[self.mesh.boundary_loop] @ g)
-        if check_mean and abs(mean) > 1e-10 * (np.linalg.norm(g) + 1e-300):
+        mean = self._constraint[self.mesh.boundary_loop] @ g
+        bad = np.abs(mean) > 1e-10 * (np.linalg.norm(g, axis=0) + 1e-300)
+        if check_mean and np.any(bad):
             raise ValueError(
-                f"boundary datum has nonzero boundary mean ({mean:.3e}); "
-                "the pure-Neumann problem is incompatible")
+                f"boundary datum has nonzero boundary mean "
+                f"({np.max(np.abs(mean)):.3e}); the pure-Neumann problem "
+                "is incompatible")
         return self.solve_load(self._boundary_load(g))
 
     def solve_load(self, b: np.ndarray) -> np.ndarray:

@@ -234,6 +234,32 @@ def test_validate_noise_reports_first_epsilon_only(tmp_path, capsys):
     assert "eps = 0.1" not in out
 
 
+@pytest.mark.parametrize("experiment", ["homogenize", "noise_measurement",
+                                        "noise_coefficient", "one_d_profile",
+                                        "me_ms_check"])
+def test_strategies_rejected_where_not_read(tmp_path, capsys, experiment):
+    doc = {"schema_version": 1, "experiment": experiment,
+           "strategies": ["bogus"]}
+    assert main([write_config(tmp_path, doc), "--validate"]) == EXIT_SCHEMA
+    assert "'strategies' is read by identify and sweep only" \
+        in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("coefficient, cell_n, solved", [
+    ({"kind": "constant", "a11": 2.0, "a12": 0.0, "a22": 1.0}, 256, 64),
+    ({"kind": "constant", "a11": 2.0, "a12": 0.0, "a22": 1.0}, 16, 16),
+    ("checkerboard", 256, None),
+    ("periodic_smooth", 8, 8)])
+def test_homogenize_records_the_cell_it_solved(tmp_path, coefficient, cell_n,
+                                               solved):
+    doc = {"schema_version": 1, "experiment": "homogenize",
+           "coefficient": coefficient, "cell_n": cell_n}
+    assert main([write_config(tmp_path, doc), "--out", str(tmp_path)]) \
+        == EXIT_OK
+    recs = json.loads((tmp_path / "results.json").read_text())["records"]
+    assert [rec["cell_n"] for rec in recs] == [solved]
+
+
 @pytest.mark.parametrize("cell_n", [2, 3, 255])
 def test_cell_n_must_be_even(tmp_path, capsys, cell_n):
     # A* is extrapolated from cells cell_n / 2 and cell_n

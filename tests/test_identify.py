@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from effdiff.coefficients import SymMat, constant_field, \
-    periodic_smooth_field, scale_epsilon
+    periodic_smooth_field, sample_checkerboard, scale_epsilon
 from effdiff.identify import CoarseModel, Measurements, NoiseSpec, \
     apply_measurement_noise, assemble_m, descend, draw_matrix_perturbations, \
     fd_gradient, identify, make_objective, me_ms_identity_check, \
@@ -10,6 +10,7 @@ from effdiff.identify import CoarseModel, Measurements, NoiseSpec, \
     one_d_noise_optimum, psi_max_from_m, psi_sigma_value, simulate_measurements
 from effdiff.mesh import build_unit_square_mesh
 from effdiff.modes import affine_modes, compute_r_modes, modes_on_mesh
+from effdiff.solver import NeumannSolver
 
 from conftest import random_spd
 
@@ -23,6 +24,32 @@ def test_measurement_invariants(small_periodic_setup):
     assert np.abs(np.diag(meas.cross) + 2.0 * meas.energies).max() < 1e-12
     defect = np.abs(meas.cross - meas.cross.T).max()
     assert defect <= 1e-8 * np.abs(meas.cross).max()
+
+
+@pytest.mark.parametrize("field", [
+    sample_checkerboard(3, 0.2), scale_epsilon(periodic_smooth_field(), 0.2)])
+def test_batched_measurements_match_one_solve_per_mode(field):
+    mesh = build_unit_square_mesh(30)
+    basis = compute_r_modes(mesh, 6)
+    meas = simulate_measurements(mesh, field, basis)
+    solver = NeumannSolver(mesh, field)
+    fields = np.array([solver.solve(g) for g in basis.modes])
+    traces = fields[:, mesh.boundary_loop]
+    energies = [solver.energy(g, u) for g, u in zip(basis.modes, fields)]
+    cross = basis.modes @ (solver.boundary_mass @ traces.T)
+    for got, ref in ((meas.energies, energies), (meas.cross, cross),
+                     (meas.boundary_traces, traces),
+                     (meas.volume_fields, fields)):
+        assert np.abs(got - ref).max() <= 1e-13 * np.abs(ref).max()
+
+
+def test_batched_solve_rejects_one_nonzero_mean_column():
+    mesh = build_unit_square_mesh(8)
+    solver = NeumannSolver(mesh, constant_field(SymMat.identity()))
+    data = affine_modes(mesh).modes.T.copy()
+    data[:, 1] += 1.0
+    with pytest.raises(ValueError, match="nonzero boundary mean"):
+        solver.solve(data)
 
 
 def test_mean_measurements_averages():

@@ -5,9 +5,11 @@ import pytest
 import scipy.linalg as sla
 
 import effdiff.modes as modes_module
+import effdiff.solver as solver_module
 
 from effdiff.coefficients import SymMat, constant_field
-from effdiff.mesh import boundary_mass_matrix, build_unit_square_mesh
+from effdiff.mesh import boundary_mass_matrix, build_unit_square_mesh, \
+    zero_mean_project
 from effdiff.modes import RModeOperator, affine_modes, choose_p, \
     compute_r_modes, extreme_eigenpairs, fix_sign, modes_on_mesh
 from effdiff.solver import NeumannSolver
@@ -56,6 +58,41 @@ def test_lanczos_matches_dense_oracle(n, q):
         k = j + 1
 
 
+@pytest.mark.parametrize("n", [1, 2, 3, 16, 17])
+def test_separable_solve_matches_neumann_solver(n):
+    # the separable solve against the factored identity stiffness, so the
+    # dense-oracle tests, which build their matrix from apply_y, rest on
+    # an independent check of the solve
+    mesh = build_unit_square_mesh(n)
+    op = RModeOperator(mesh)
+    solver = NeumannSolver(mesh, constant_field(SymMat.identity()))
+    rng = np.random.default_rng(n)
+    for _ in range(3):
+        g = zero_mean_project(mesh, op.mass,
+                              rng.standard_normal(mesh.num_boundary_dofs))
+        ref = solver.trace(solver.solve(g))
+        assert np.abs(op.apply(g) - ref).max() <= 1e-12 * np.abs(ref).max()
+
+
+def test_r_modes_factor_nothing(monkeypatch):
+    def forbidden(*args, **kwargs):
+        raise AssertionError("compute_r_modes built a fine factorization")
+
+    monkeypatch.setattr(solver_module.NeumannSolver, "__init__", forbidden)
+    monkeypatch.setattr(solver_module, "unit_stiffnesses", forbidden)
+    applications = []
+    apply = RModeOperator.apply
+
+    def counted(self, g):
+        applications.append(g)
+        return apply(self, g)
+
+    monkeypatch.setattr(RModeOperator, "apply", counted)
+    basis = compute_r_modes(build_unit_square_mesh(24), 5)
+    assert basis.count == 5 and np.all(basis.eigenvalues > 0.0)
+    assert len(applications) > 0
+
+
 @pytest.mark.parametrize("n", [20, 24])
 def test_modes_exactly_symmetric(n):
     # the reflection (x, y) -> (y, x) and the half turn map every mode to
@@ -102,7 +139,6 @@ def test_operator_self_adjoint_and_positive():
     op = RModeOperator(mesh)
     mb = boundary_mass_matrix(mesh)
     rng = np.random.default_rng(0)
-    from effdiff.mesh import zero_mean_project
     for _ in range(5):
         f = zero_mean_project(mesh, mb, rng.standard_normal(
             mesh.num_boundary_dofs))
