@@ -1,9 +1,8 @@
 """Identification of constant effective diffusion matrices from coarse
 energy measurements of highly oscillatory diffusion problems."""
 
-from .coefficients import CheckerboardRealization, CoefficientField, SymMat, \
-    constant_field, mean_over_cell, periodic_smooth_field, \
-    sample_checkerboard, scale_epsilon
+from .coefficients import CoefficientField, SymMat, constant_field, \
+    mean_over_cell, periodic_smooth_field, sample_checkerboard, scale_epsilon
 from .experiments import err_eps_q, err_star, identify_checkerboard, \
     identify_periodic, one_d_profile, sweep
 from .homogenization import checkerboard_exact, harmonic_mean_1d, \

@@ -2,7 +2,9 @@
 
 Reads a JSON config with a versioned schema, resolves defaults (mode count
 per epsilon, mesh sizes, profile overrides), optionally validates without
-running, and emits the documented CSV/JSON result files atomically.
+running, and emits the documented CSV/JSON result files atomically.  One
+table, ``KEYS``, gives each config key its check and the runs that read it;
+a key that is unknown or that the run does not read is a schema violation.
 
 Exit codes: 0 success, 2 config file missing, 3 schema violation,
 4 mesh-size cap exceeded, 1 any other runtime failure.
@@ -15,7 +17,7 @@ import json
 import os
 import sys
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -45,8 +47,6 @@ COEFFICIENTS = ("periodic_smooth", "checkerboard", "constant")
 # the coefficients a sweep runs on, with the strategies of each
 SWEEP_STRATEGIES = {"periodic_smooth": STRATEGIES,
                     "checkerboard": CHECKERBOARD_STRATEGIES}
-FINE_MESH_EXPERIMENTS = ("identify", "sweep", "noise_measurement",
-                         "noise_coefficient", "me_ms_check")
 FIRST_EPSILON_EXPERIMENTS = ("noise_measurement", "noise_coefficient",
                              "me_ms_check")
 PROFILES = ("desk", "full")
@@ -79,29 +79,18 @@ class RunConfig:
     workers: int = 1
     grid: list = field(default_factory=lambda: [1.0, 3.0, 2001])
 
-    def run_coefficient(self) -> str:
-        """The coefficient the run measures: only sweeps read the config's
-        coefficient, the other runs use the periodic field."""
-        if self.experiment in ("identify", "sweep"):
-            return self.coefficient
-        return "periodic_smooth"
-
     def resolved_r(self) -> float:
-        if self.r is not None:
+        if self.r:
             return self.r
-        if self.run_coefficient() == "checkerboard":
+        if self.coefficient == "checkerboard":
             return 20.0 if self.profile == "full" else 10.0
         return 40.0 if self.profile == "full" else 20.0
 
     def resolved_m1(self) -> int:
-        if self.m1 is not None:
-            return self.m1
-        return 40 if self.profile == "full" else 10
+        return self.m1 or (40 if self.profile == "full" else 10)
 
     def resolved_m2(self) -> int:
-        if self.m2 is not None:
-            return self.m2
-        return 40 if self.profile == "full" else 10
+        return self.m2 or (40 if self.profile == "full" else 10)
 
     def resolved_draws(self) -> int:
         """Noisy re-identifications per sigma in the measurement-noise study."""
@@ -126,13 +115,95 @@ class RunConfig:
     def fine_n(self, eps: float) -> int:
         """The fine-mesh subdivisions the run uses at ``eps``."""
         cap = ME_MS_CHECK_MAX_N if self.experiment == "me_ms_check" else None
-        return fine_n(self.run_coefficient(), eps, self.resolved_r(),
-                      max_n=cap)
+        return fine_n(self.coefficient, eps, self.resolved_r(), max_n=cap)
 
 
 def _expect(cond: bool, message: str) -> None:
     if not cond:
         raise SchemaError(message)
+
+
+# JSON numbers only: isinstance would also pass true and false
+def _positive(v) -> bool:
+    return type(v) in (int, float) and v > 0
+
+
+def _nonnegative(v) -> bool:
+    return type(v) in (int, float) and v >= 0
+
+
+def _int_from(lo: int):
+    return lambda v: type(v) is int and v >= lo
+
+
+def _list_of(test):
+    return lambda v: isinstance(v, list) and all(map(test, v))
+
+
+def _coefficient(v) -> dict:
+    if not isinstance(v, dict):
+        return {"coefficient": v}
+    return {"coefficient": "constant", "constant_entries": SymMat(
+        *(float(v[k]) for k in ENTRIES))}
+
+
+SWEEPS = ("identify", "sweep")
+ENTRIES = ("a11", "a12", "a22")
+NOISE_STUDIES = ("noise_measurement", "noise_coefficient")
+# Each config key: the runs that read it ("<experiment>" or "<experiment> on
+# <coefficient>"), what its value must be and the test of that (None: checked
+# before the walk), and the RunConfig fields it sets, if not {key.lower(): v}.
+KEYS = {
+    "schema_version": (EXPERIMENTS, None, None),
+    "experiment": (EXPERIMENTS, None, None),
+    "base_seed": (EXPERIMENTS, "an integer", lambda v: type(v) is int),
+    "profile": (EXPERIMENTS, f"one of {PROFILES}", lambda v: v in PROFILES),
+    "output": (EXPERIMENTS, "an object of 'csv' and 'json' file names",
+               lambda v: isinstance(v, dict) and set(v) <= {"csv", "json"}
+               and all(isinstance(s, str) for s in v.values()),
+               lambda v: {f"out_{k}": s for k, s in v.items()}),
+    "coefficient": (
+        ("homogenize",) + tuple(f"{e} on {c}" for e in SWEEPS
+                                for c in SWEEP_STRATEGIES)
+        + tuple(f"{e} on periodic_smooth" for e in FIRST_EPSILON_EXPERIMENTS),
+        f"one of {COEFFICIENTS} or {{'kind': 'constant', 'a11': a11, "
+        f"'a12': a12, 'a22': a22}} with numeric entries",
+        lambda v: v in COEFFICIENTS or isinstance(v, dict)
+        and v.get("kind") == "constant" and set(v) == {"kind", *ENTRIES}
+        and all(type(v[k]) in (int, float) for k in ENTRIES),
+        _coefficient),
+    "epsilons": (EXPERIMENTS[1:],   # every run but homogenize
+                 "a list of positive numbers", _list_of(_positive),
+                 lambda v: {"epsilons": [float(e) for e in v]}),
+    "strategies": (SWEEPS, "a non-empty list",
+                   lambda v: isinstance(v, list) and v),
+    "Q": (SWEEPS, "a positive integer", _int_from(1)),
+    "P": (SWEEPS + NOISE_STUDIES, "'auto' or a positive integer",
+          lambda v: v == "auto" or _int_from(1)(v),
+          lambda v: {"p": None if v == "auto" else v}),
+    "coarse_H": (SWEEPS + NOISE_STUDIES, "a positive number", _positive),
+    "r": (SWEEPS + FIRST_EPSILON_EXPERIMENTS, "a positive number", _positive),
+    "M1": (("identify on checkerboard", "sweep on checkerboard",
+            "noise_coefficient"), "a positive integer", _int_from(1)),
+    "M2": (("noise_measurement",), "an integer >= 2", _int_from(2)),
+    "sigmas": (("noise_measurement",), "a list of nonnegative numbers",
+               _list_of(_nonnegative),
+               lambda v: {"sigmas": [float(s) for s in v]}),
+    "sigma": (("noise_coefficient",), "a nonnegative number", _nonnegative),
+    "cell_n": (("homogenize",), "an even integer >= 4",
+               lambda v: _int_from(4)(v) and v % 2 == 0),
+    "grid": (("one_d_profile",), "[min, max, count] with 0 < min < max",
+             lambda g: _list_of(_positive)(g) and len(g) == 3
+             and g[1] > g[0] and g[2] >= 2,
+             lambda g: {"grid": [float(g[0]), float(g[1]), int(g[2])]}),
+}
+
+
+def reads(cfg: RunConfig, key: str) -> bool:
+    """Whether the run ``cfg`` describes reads config key ``key``."""
+    readers = KEYS[key][0]
+    return cfg.experiment in readers \
+        or f"{cfg.experiment} on {cfg.coefficient}" in readers
 
 
 def load_config(path: str) -> RunConfig:
@@ -151,95 +222,28 @@ def load_config(path: str) -> RunConfig:
             f"expected one of {EXPERIMENTS}")
 
     cfg = RunConfig(experiment=doc["experiment"])
-    coeff = doc.get("coefficient", "periodic_smooth")
-    if isinstance(coeff, dict):
-        _expect(coeff.get("kind") == "constant",
-                "structured coefficient spec must have kind 'constant'")
-        for k in ("a11", "a12", "a22"):
-            _expect(isinstance(coeff.get(k), (int, float)),
-                    f"constant coefficient needs numeric entry {k!r}")
-        cfg.coefficient = "constant"
-        cfg.constant_entries = SymMat(float(coeff["a11"]),
-                                      float(coeff["a12"]),
-                                      float(coeff["a22"]))
-    else:
-        _expect(coeff in COEFFICIENTS,
-                f"unknown coefficient {coeff!r}; expected {COEFFICIENTS}")
-        cfg.coefficient = coeff
+    for key, value in doc.items():
+        _expect(key in KEYS,
+                f"unknown key {key!r}; expected one of {tuple(KEYS)}")
+        _, meaning, test, *fields = KEYS[key]
+        if test is not None:
+            _expect(test(value), f"{key!r} must be {meaning}")
+            cfg = replace(cfg, **(fields[0](value) if fields
+                                  else {key.lower(): value}))
+    for key in doc:     # after the walk, which sets the coefficient
+        readers = " and ".join(", ".join(KEYS[key][0]).rsplit(", ", 1))
+        _expect(reads(cfg, key), f"{key!r} is read by {readers} only")
 
-    if "epsilons" in doc:
-        eps = doc["epsilons"]
-        _expect(isinstance(eps, list)
-                and all(isinstance(e, (int, float)) and e > 0 for e in eps),
-                "'epsilons' must be a list of positive numbers")
-        cfg.epsilons = [float(e) for e in eps]
-    if "strategies" in doc:
-        strat = doc["strategies"]
-        _expect(isinstance(strat, list) and strat,
-                "'strategies' must be a non-empty list")
-        cfg.strategies = strat
-    if "P" in doc:
-        _expect(doc["P"] == "auto"
-                or (isinstance(doc["P"], int) and doc["P"] >= 1),
-                "'P' must be 'auto' or a positive integer")
-        cfg.p = None if doc["P"] == "auto" else doc["P"]
-    if "Q" in doc:
-        _expect(isinstance(doc["Q"], int) and doc["Q"] >= 1,
-                "'Q' must be a positive integer")
-        cfg.q = doc["Q"]
-    for key, attr, kindcheck in (
-            ("r", "r", lambda v: isinstance(v, (int, float)) and v > 0),
-            ("coarse_H", "coarse_h",
-             lambda v: isinstance(v, (int, float)) and v > 0),
-            ("M1", "m1", lambda v: isinstance(v, int) and v >= 1),
-            ("M2", "m2", lambda v: isinstance(v, int) and v >= 2),
-            ("base_seed", "base_seed", lambda v: isinstance(v, int)),
-            ("cell_n", "cell_n",
-             lambda v: isinstance(v, int) and v >= 4 and v % 2 == 0),
-            ("sigma", "sigma",
-             lambda v: isinstance(v, (int, float)) and v >= 0)):
-        if key in doc:
-            _expect(kindcheck(doc[key]), f"invalid value for {key!r}")
-            setattr(cfg, attr, doc[key])
-    if "sigmas" in doc:
-        _expect(isinstance(doc["sigmas"], list)
-                and all(isinstance(s, (int, float)) and s >= 0
-                        for s in doc["sigmas"]),
-                "'sigmas' must be a list of nonnegative numbers")
-        cfg.sigmas = [float(s) for s in doc["sigmas"]]
-    if "grid" in doc:
-        g = doc["grid"]
-        _expect(isinstance(g, list) and len(g) == 3 and g[0] > 0
-                and g[1] > g[0] and int(g[2]) >= 2,
-                "'grid' must be [min, max, count] with 0 < min < max")
-        cfg.grid = [float(g[0]), float(g[1]), int(g[2])]
-    if "profile" in doc:
-        _expect(doc["profile"] in PROFILES,
-                f"profile must be one of {PROFILES}")
-        cfg.profile = doc["profile"]
-    out = doc.get("output", {})
-    _expect(isinstance(out, dict), "'output' must be an object")
-    cfg.out_csv = out.get("csv", cfg.out_csv)
-    cfg.out_json = out.get("json", cfg.out_json)
-
-    if cfg.experiment in ("identify", "sweep"):
-        allowed = SWEEP_STRATEGIES.get(cfg.coefficient)
-        _expect(allowed is not None,
-                f"{cfg.experiment} runs on {tuple(SWEEP_STRATEGIES)}, "
-                f"not {cfg.coefficient!r}")
+    if cfg.experiment in SWEEPS:
+        allowed = SWEEP_STRATEGIES[cfg.coefficient]
         unknown = [s for s in cfg.strategies if s not in allowed]
         _expect(not unknown, f"strategies {unknown} do not run on "
                              f"{cfg.coefficient}; expected from {allowed}")
-    _expect("strategies" not in doc
-            or cfg.experiment in ("identify", "sweep"),
-            "'strategies' is read by identify and sweep only")
-    _expect("cell_n" not in doc or cfg.experiment == "homogenize",
-            "'cell_n' is read by homogenize only")
+        for eps in cfg.epsilons:
+            p = resolve_p(eps, cfg.p)
+            _expect(cfg.q >= p, f"Q = {cfg.q} < P = {p} at eps = {eps}")
     _expect(cfg.epsilons or cfg.experiment not in FIRST_EPSILON_EXPERIMENTS,
             f"'epsilons' must not be empty for {cfg.experiment}")
-    for eps in cfg.run_epsilons():
-        p = resolve_p(eps, cfg.p)
-        _expect(cfg.q >= p, f"Q = {cfg.q} < P = {p} at eps = {eps}")
     return cfg
 
 
@@ -249,37 +253,35 @@ def resolve_report(cfg: RunConfig) -> list[str]:
              f"coefficient: {cfg.coefficient}",
              f"profile: {cfg.profile}",
              f"base_seed: {cfg.base_seed}"]
-    if cfg.experiment in FINE_MESH_EXPERIMENTS:
-        identifies = cfg.experiment != "me_ms_check"
+    if reads(cfg, "r"):
         lines.append(f"r: {cfg.resolved_r()}")
-        if identifies:
-            lines.append(f"coarse_H: {cfg.coarse_h} "
-                         f"(coarse n = {coarse_mesh_n(cfg.coarse_h)})")
-        for eps in cfg.run_epsilons():
-            n = cfg.fine_n(eps)
-            modes = f"P = {resolve_p(eps, cfg.p)}, Q = {cfg.q}, " \
-                if identifies else ""
-            lines.append(f"eps = {eps}: {modes}fine n = {n} "
-                         f"({(n + 1) ** 2} nodes)")
-        if cfg.run_coefficient() == "checkerboard" \
-                or cfg.experiment == "noise_coefficient":
-            lines.append(f"M1 = {cfg.resolved_m1()}")
-        if cfg.experiment == "noise_measurement":
-            lines.append(f"M2 = {cfg.resolved_m2()}, "
-                         f"draws = {cfg.resolved_draws()}")
-    if cfg.experiment == "homogenize":
+    if reads(cfg, "coarse_H"):
+        lines.append(f"coarse_H: {cfg.coarse_h} "
+                     f"(coarse n = {coarse_mesh_n(cfg.coarse_h)})")
+    for eps in cfg.run_epsilons() if reads(cfg, "r") else ():
+        n = cfg.fine_n(eps)
+        modes = f"P = {resolve_p(eps, cfg.p)}, Q = {cfg.q}, " \
+            if reads(cfg, "P") else ""
+        lines.append(f"eps = {eps}: {modes}fine n = {n} "
+                     f"({(n + 1) ** 2} nodes)")
+    if reads(cfg, "M1"):
+        lines.append(f"M1 = {cfg.resolved_m1()}")
+    if reads(cfg, "M2"):
+        lines.append(f"M2 = {cfg.resolved_m2()}, "
+                     f"draws = {cfg.resolved_draws()}")
+    if reads(cfg, "cell_n"):
         cell_n = cfg.homogenize_cell_n()
         lines.append(f"cell_n: {cell_n}" + (
             f" (A* extrapolated from cells {cell_n // 2} and {cell_n})"
             if cfg.coefficient == "periodic_smooth" else ""))
-    if cfg.experiment == "one_d_profile":
+    if reads(cfg, "grid"):
         lines.append(f"grid: {cfg.grid}")
     return lines
 
 
 def dof_cap_error(cfg: RunConfig) -> str | None:
     """Why the run exceeds the desk profile's fine-mesh cap, if it does."""
-    if cfg.profile != "desk" or cfg.experiment not in FINE_MESH_EXPERIMENTS:
+    if cfg.profile != "desk" or not reads(cfg, "r"):
         return None
     for eps in cfg.run_epsilons():
         dofs = (cfg.fine_n(eps) + 1) ** 2
@@ -326,10 +328,9 @@ def run_experiment(cfg: RunConfig) -> list[dict]:
             base_seed=cfg.base_seed, coarse_h=cfg.coarse_h)
 
     if cfg.experiment == "one_d_profile":
-        lo, hi, count = cfg.grid
         eps = cfg.epsilons[0] if cfg.epsilons else 1e-3
         table = one_d_profile(lambda x: 2.0 + np.cos(2.0 * np.pi * x), eps,
-                              np.linspace(lo, hi, count))
+                              np.linspace(*cfg.grid))
         # scalar candidate stored in a11, objective value in psi_final
         return [record("one_d_profile", "ME", eps,
                        SymMat(float(ab), None, None), P=1,
@@ -396,8 +397,7 @@ def main(argv: list[str] | None = None) -> int:
     if args.workers:
         cfg.workers = args.workers
 
-    cap_error = dof_cap_error(cfg)
-    if cap_error:
+    if cap_error := dof_cap_error(cfg):
         print(f"error: {cap_error}", file=sys.stderr)
         return EXIT_DOF_CAP
 

@@ -52,36 +52,8 @@ class SymMat:
     def is_spd(self) -> bool:
         return bool(self.eigenvalues()[0] > 0.0)
 
-    def in_s_alpha_beta(self, alpha: float, beta: float) -> bool:
-        """Membership in the set of alpha-coercive, beta-bounded matrices."""
-        lo, hi = self.eigenvalues()
-        return bool(lo >= alpha and hi <= beta)
-
     def frobenius(self) -> float:
         return math.sqrt(self.a11 ** 2 + 2.0 * self.a12 ** 2 + self.a22 ** 2)
-
-
-@dataclass(frozen=True)
-class CheckerboardRealization:
-    """An N x N array of i.i.d. values in {4, 16}, reproducible from seed."""
-
-    seed: int
-    cells_per_side: int
-    values: np.ndarray  # (N, N), values[j, i] covers cell (i, j)
-
-    @staticmethod
-    def sample(seed: int, cells_per_side: int) -> "CheckerboardRealization":
-        rng = np.random.default_rng(seed)
-        draws = rng.integers(0, 2, size=(cells_per_side, cells_per_side))
-        values = np.where(draws == 0, 4.0, 16.0)
-        return CheckerboardRealization(seed, cells_per_side, values)
-
-    def serialize(self) -> dict:
-        return {
-            "seed": int(self.seed),
-            "cells_per_side": int(self.cells_per_side),
-            "values": [float(v) for v in self.values.ravel()],
-        }
 
 
 @dataclass(frozen=True)
@@ -92,7 +64,6 @@ class CoefficientField:
     evaluate: Callable[[np.ndarray], np.ndarray]  # (m,2) -> (m,2,2)
     alpha: float
     beta: float
-    realization: CheckerboardRealization | None = None
 
     def __call__(self, points: np.ndarray) -> np.ndarray:
         return self.evaluate(np.atleast_2d(points))
@@ -106,13 +77,6 @@ def constant_field(m: SymMat) -> CoefficientField:
         return np.broadcast_to(a, (points.shape[0], 2, 2))
 
     return CoefficientField("constant", ev, alpha=float(lo), beta=float(hi))
-
-
-def eval_periodic(point) -> SymMat:
-    """The Z^2-periodic diagonal matrix field of the periodic test case."""
-    x, y = float(point[0]), float(point[1])
-    s = math.sin(2.0 * math.pi * x) + math.sin(2.0 * math.pi * y)
-    return SymMat(22.0 + 10.0 * s, 0.0, 12.0 + 2.0 * s)
 
 
 def periodic_smooth_field() -> CoefficientField:
@@ -150,7 +114,7 @@ def scale_epsilon(field: CoefficientField, eps: float) -> CoefficientField:
         return inner(points / eps)
 
     return CoefficientField("epsilon_scaled", ev, alpha=field.alpha,
-                            beta=field.beta, realization=field.realization)
+                            beta=field.beta)
 
 
 def sample_checkerboard(seed: int, eps: float) -> CoefficientField:
@@ -162,8 +126,8 @@ def sample_checkerboard(seed: int, eps: float) -> CoefficientField:
     if not 0.0 < eps <= 1.0:
         raise ValueError(f"need 0 < eps <= 1, got {eps}")
     cells = int(math.ceil(1.0 / eps))
-    real = CheckerboardRealization.sample(seed, cells)
-    values = real.values
+    draws = np.random.default_rng(seed).integers(0, 2, size=(cells, cells))
+    values = np.where(draws == 0, 4.0, 16.0)  # values[j, i] covers (i, j)
 
     def ev(points):
         i = np.clip((points[:, 0] / eps).astype(np.int64), 0, cells - 1)
@@ -174,8 +138,7 @@ def sample_checkerboard(seed: int, eps: float) -> CoefficientField:
         out[:, 1, 1] = a
         return out
 
-    return CoefficientField("checkerboard", ev, alpha=4.0, beta=16.0,
-                            realization=real)
+    return CoefficientField("checkerboard", ev, alpha=4.0, beta=16.0)
 
 
 def mean_over_cell(field: CoefficientField, quad_n: int = 256) -> SymMat:

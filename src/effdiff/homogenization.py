@@ -37,12 +37,6 @@ def harmonic_mean_1d(a: Callable[[np.ndarray], np.ndarray],
     return float(1.0 / np.mean(1.0 / vals))
 
 
-def arithmetic_mean_1d(a: Callable[[np.ndarray], np.ndarray],
-                       quad_points: int = 10_000) -> float:
-    xs = (np.arange(quad_points) + 0.5) / quad_points
-    return float(np.mean(np.asarray(a(xs), dtype=float)))
-
-
 def checkerboard_exact() -> SymMat:
     """The two-phase {4, 16} checkerboard homogenizes to sqrt(4*16) Id."""
     return SymMat.identity(8.0)

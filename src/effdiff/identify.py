@@ -16,7 +16,7 @@ the surrogate solves.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from typing import Callable, Sequence
 
 import numpy as np
@@ -49,7 +49,6 @@ class Measurements:
     boundary_traces: np.ndarray | None = None   # (P, nb)
     volume_fields: np.ndarray | None = None     # (P, num_nodes)
     mesh: TriMesh | None = None
-    provenance: dict = field(default_factory=dict)
 
     @property
     def count(self) -> int:
@@ -58,8 +57,7 @@ class Measurements:
 
 def simulate_measurements(mesh: TriMesh, coeff: CoefficientField,
                           basis: ModeBasis,
-                          keep_fields: bool = True,
-                          provenance: dict | None = None) -> Measurements:
+                          keep_fields: bool = True) -> Measurements:
     """Solve the Neumann problems of all modes at once and record all
     observables."""
     if basis.mesh_n != mesh.n:
@@ -70,42 +68,9 @@ def simulate_measurements(mesh: TriMesh, coeff: CoefficientField,
     fields = u.T if keep_fields else None
     cross = basis.modes @ (solver.boundary_mass @ traces.T)
     energies = -0.5 * np.diag(cross)
-    prov = dict(provenance or {})
-    prov.setdefault("source", "simulated")
-    prov.setdefault("mesh_n", mesh.n)
-    prov.setdefault("field", coeff.kind)
     return Measurements(basis=basis, energies=energies, cross=cross,
                         boundary_traces=traces,
-                        volume_fields=fields, mesh=mesh, provenance=prov)
-
-
-def mean_measurements(batch: Sequence[Measurements]) -> Measurements:
-    """Entrywise average of measurements over coefficient realizations.
-
-    All observables are linear in the recorded solution, so averaging the
-    records equals recording against the averaged solutions.
-    """
-    if not batch:
-        raise ValueError("cannot average an empty measurement batch")
-    first = batch[0]
-    for m in batch[1:]:
-        if m.count != first.count or m.basis.mesh_n != first.basis.mesh_n:
-            raise ValueError("measurement batch mixes incompatible bases")
-
-    def avg(attr):
-        vals = [getattr(m, attr) for m in batch]
-        if any(v is None for v in vals):
-            return None
-        return np.mean(vals, axis=0)
-
-    prov = dict(first.provenance)
-    prov["averaged_over"] = len(batch)
-    prov["seeds"] = [m.provenance.get("seed") for m in batch]
-    return Measurements(basis=first.basis, energies=avg("energies"),
-                        cross=avg("cross"),
-                        boundary_traces=avg("boundary_traces"),
-                        volume_fields=avg("volume_fields"),
-                        mesh=first.mesh, provenance=prov)
+                        volume_fields=fields, mesh=mesh)
 
 
 # ---------------------------------------------------------------------------
@@ -293,11 +258,8 @@ def apply_measurement_noise(meas: Measurements,
     rng = np.random.default_rng(spec.seed)
     eta = rng.standard_normal(meas.count)
     noisy = meas.energies * (1.0 + spec.sigma * eta)
-    prov = dict(meas.provenance)
-    prov["noise"] = {"kind": "measurement", "sigma": spec.sigma,
-                     "seed": spec.seed}
     return replace(meas, energies=noisy, cross=None, boundary_traces=None,
-                   volume_fields=None, provenance=prov)
+                   volume_fields=None)
 
 
 def draw_matrix_perturbations(abar: SymMat, spec: NoiseSpec,

@@ -2,6 +2,7 @@ import csv
 import glob
 import json
 import os
+import runpy
 
 import pytest
 
@@ -9,8 +10,11 @@ from effdiff.cli import EXIT_CONFIG_MISSING, EXIT_DOF_CAP, EXIT_OK, \
     EXIT_SCHEMA, OUTPUT_ENV_VAR, load_config, main, resolve_report
 
 
-CONFIGS = sorted(glob.glob(os.path.join(os.path.dirname(__file__), os.pardir,
-                                        "configs", "*.json")))
+ROOT = os.path.join(os.path.dirname(__file__), os.pardir)
+CONFIGS = sorted(glob.glob(os.path.join(ROOT, "configs", "*.json")))
+# the benchmark's workload definitions, run from source so that nothing is
+# written under bench/
+BENCH_WORKLOADS = runpy.run_path(os.path.join(ROOT, "bench", "workloads.py"))
 
 
 def write_config(tmp_path, doc, name="cfg.json"):
@@ -50,6 +54,9 @@ def test_schema_violations(tmp_path, capsys):
          "coefficient": {"kind": "constant", "a11": 2.0, "a12": 0.0,
                          "a22": 1.0}},
         {"schema_version": 1, "experiment": "sweep", "cell_n": 64},
+        {"schema_version": 1, "experiment": "sweep",
+         "coefficient": "checkerboard", "M1": True},
+        {"schema_version": 1, "experiment": "sweep", "r": True},
     ]
     for doc in cases:
         code = main([write_config(tmp_path, doc)])
@@ -85,9 +92,10 @@ def test_profile_override_changes_r(tmp_path, capsys):
 
 
 def test_load_config_resolves_constant_coefficient(tmp_path):
-    path = write_config(tmp_path, base_doc(
-        coefficient={"kind": "constant", "a11": 3.0, "a12": 0.5,
-                     "a22": 2.0}))
+    path = write_config(tmp_path, {
+        "schema_version": 1, "experiment": "homogenize",
+        "coefficient": {"kind": "constant", "a11": 3.0, "a12": 0.5,
+                        "a22": 2.0}})
     cfg = load_config(path)
     assert cfg.coefficient == "constant"
     assert cfg.constant_entries.a12 == 0.5
@@ -276,12 +284,66 @@ def test_validate_homogenize_reports_both_cells(tmp_path, capsys):
 
 
 def test_noise_run_resolves_r_from_the_periodic_field(tmp_path, capsys):
-    # the noise studies measure the periodic field whatever the config's
-    # coefficient says, so r, the fine mesh and M1 follow that field
+    # the noise studies measure the periodic field, so r, the fine mesh and
+    # M1 follow that field, and a config may name no other coefficient
     doc = {"schema_version": 1, "experiment": "noise_measurement",
-           "coefficient": "checkerboard", "epsilons": [0.05]}
+           "coefficient": "periodic_smooth", "epsilons": [0.05]}
     assert main([write_config(tmp_path, doc), "--validate"]) == EXIT_OK
     out = capsys.readouterr().out
     assert "r: 20.0" in out
     assert "fine n = 566 (" in out
     assert "M1" not in out
+    doc["coefficient"] = "checkerboard"
+    assert main([write_config(tmp_path, doc), "--validate"]) == EXIT_SCHEMA
+    assert "'coefficient' is read by" in capsys.readouterr().err
+
+
+def test_unknown_key_rejected(tmp_path, capsys):
+    doc = {"schema_version": 1, "experiment": "sweep", "epsilon": [0.5]}
+    assert main([write_config(tmp_path, doc), "--validate"]) == EXIT_SCHEMA
+    assert "unknown key 'epsilon'" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("experiment, key, value", [
+    ("noise_measurement", "Q", 11),
+    ("noise_coefficient", "Q", 11),
+    ("one_d_profile", "coefficient", "periodic_smooth"),
+    ("noise_coefficient", "coefficient", "checkerboard"),
+    ("me_ms_check", "coefficient",
+     {"kind": "constant", "a11": 2.0, "a12": 0.0, "a22": 1.0}),
+    ("sweep", "sigmas", [0.1]),
+    ("noise_measurement", "sigma", 2.0),
+    ("sweep", "M2", 4),
+    ("noise_coefficient", "M2", 4),
+    ("homogenize", "grid", [1.0, 3.0, 11]),
+    ("homogenize", "epsilons", [0.1]),
+    ("sweep", "M1", 4)])
+def test_unread_key_rejected(tmp_path, capsys, experiment, key, value):
+    doc = {"schema_version": 1, "experiment": experiment, key: value}
+    assert main([write_config(tmp_path, doc), "--validate"]) == EXIT_SCHEMA
+    assert f"'{key}' is read by" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("output", [{"csv": 5}, {"cvs": "a.csv"}])
+def test_bad_output_rejected_before_the_run(tmp_path, capsys, output):
+    doc = base_doc(output=output)
+    out = tmp_path / "out"
+    assert main([write_config(tmp_path, doc), "--out", str(out)]) \
+        == EXIT_SCHEMA
+    assert "'output' must be" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_noise_study_reads_no_q(tmp_path, capsys):
+    # the study uses P modes only, so P may exceed the default Q = 11
+    doc = {"schema_version": 1, "experiment": "noise_measurement",
+           "epsilons": [0.2], "P": 12}
+    assert main([write_config(tmp_path, doc), "--validate"]) == EXIT_OK
+    assert "eps = 0.2: P = 12," in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("seed", [0, 1, 7])
+@pytest.mark.parametrize("workload", sorted(BENCH_WORKLOADS["WORKLOADS"]))
+def test_benchmark_configs_validate(tmp_path, workload, seed):
+    doc = BENCH_WORKLOADS["make_config"](workload, seed)
+    assert main([write_config(tmp_path, doc), "--validate"]) == EXIT_OK

@@ -5,9 +5,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from effdiff.coefficients import CheckerboardRealization, SymMat, \
-    constant_field, eval_periodic, layered_field, mean_over_cell, \
-    periodic_smooth_field, sample_checkerboard, scale_epsilon
+from effdiff.coefficients import SymMat, constant_field, layered_field, \
+    mean_over_cell, periodic_smooth_field, sample_checkerboard, scale_epsilon
 
 
 finite = st.floats(min_value=-50.0, max_value=50.0, allow_nan=False)
@@ -32,24 +31,21 @@ def test_symmat_roundtrips():
 def test_symmat_spd_and_band_membership():
     assert SymMat(3.0, 0.0, 2.0).is_spd()
     assert not SymMat(1.0, 2.0, 1.0).is_spd()
-    assert SymMat(3.0, 0.0, 2.0).in_s_alpha_beta(2.0, 3.0)
-    assert not SymMat(3.0, 0.0, 2.0).in_s_alpha_beta(2.5, 3.0)
 
 
 def test_periodic_field_sample_points():
-    m = eval_periodic((0.0, 0.0))
-    assert (m.a11, m.a12, m.a22) == (22.0, 0.0, 12.0)
-    m = eval_periodic((0.25, 0.0))
-    assert abs(m.a11 - 32.0) < 1e-12 and abs(m.a22 - 14.0) < 1e-12
+    m = periodic_smooth_field()(np.array([[0.0, 0.0], [0.25, 0.0]]))
+    assert m[0].tolist() == [[22.0, 0.0], [0.0, 12.0]]
+    assert abs(m[1, 0, 0] - 32.0) < 1e-12 and abs(m[1, 1, 1] - 14.0) < 1e-12
+    assert m[1, 0, 1] == 0.0 and m[1, 1, 0] == 0.0
 
 
 @settings(max_examples=30)
 @given(st.floats(min_value=0.0, max_value=1.0),
        st.floats(min_value=0.0, max_value=1.0))
 def test_periodic_field_periodicity(x, y):
-    a = eval_periodic((x, y))
-    b = eval_periodic((x + 1.0, y))
-    assert abs(a.a11 - b.a11) < 1e-9 and abs(a.a22 - b.a22) < 1e-9
+    a, b = periodic_smooth_field()(np.array([[x, y], [x + 1.0, y]]))
+    assert np.abs(a - b).max() < 1e-9
 
 
 def test_periodic_field_band():
@@ -96,18 +92,13 @@ def test_checkerboard_values_and_determinism():
 
 
 def test_checkerboard_cell_statistics():
-    real = CheckerboardRealization.sample(7, 100)
-    vals = real.values.ravel()
+    # one value per cell of a 100 x 100 board, read at the cell centres
+    centres = (np.arange(100) + 0.5) / 100
+    x, y = np.meshgrid(centres, centres)
+    field = sample_checkerboard(7, 0.01)
+    vals = field(np.column_stack([x.ravel(), y.ravel()]))[:, 0, 0]
     assert abs(vals.mean() - 10.0) < 0.3
     assert abs(vals.var() - 36.0) < 3.0
-
-
-def test_checkerboard_serialization_roundtrip():
-    real = CheckerboardRealization.sample(5, 4)
-    doc = real.serialize()
-    assert doc["seed"] == 5 and doc["cells_per_side"] == 4
-    assert np.array_equal(np.array(doc["values"]).reshape(4, 4),
-                          real.values)
 
 
 def test_checkerboard_is_constant_on_cells():

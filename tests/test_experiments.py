@@ -7,9 +7,10 @@ import pytest
 
 from effdiff import experiments
 from effdiff.coefficients import SymMat, constant_field, sample_checkerboard
-from effdiff.experiments import CSV_COLUMNS, coarse_mesh_n, err_eps_q, \
-    err_star, fine_mesh_n, one_d_profile, parallel_map, sweep, \
-    take_measurements, take_modes, write_csv, write_json
+from effdiff.experiments import CSV_COLUMNS, checkerboard_mean, \
+    coarse_mesh_n, err_eps_q, err_star, fine_mesh_n, one_d_profile, \
+    parallel_map, sweep, take_measurements, take_modes, write_csv, \
+    write_json
 from effdiff.identify import simulate_measurements
 from effdiff.mesh import build_unit_square_mesh
 from effdiff.modes import affine_modes
@@ -242,6 +243,20 @@ def test_sweep_rejects_unknown_coefficient():
     records = sweep([0.25], ["ME"], coefficient="nope", r=4.0, q=5,
                     coarse_h=0.2)
     assert "error" in records[0]
+
+
+def test_checkerboard_mean_matches_per_seed_measurements():
+    # the running sum over M1 realizations, divided once, is exactly the
+    # average of the per-seed records
+    eps, base_seed, m1 = 0.25, 4, 3
+    mean = checkerboard_mean(eps, q=5, r=2.0, m1=m1, base_seed=base_seed)
+    batch = [simulate_measurements(mean.mesh, sample_checkerboard(seed, eps),
+                                   mean.basis)
+             for seed in range(base_seed, base_seed + m1)]
+    for name in ("energies", "cross", "boundary_traces", "volume_fields"):
+        ref = np.mean([getattr(m, name) for m in batch], axis=0)
+        got = getattr(mean, name)
+        assert got.shape == ref.shape and (got == ref).all(), name
 
 
 def test_sweep_checkerboard_small():

@@ -6,8 +6,8 @@ from effdiff.coefficients import SymMat, constant_field, \
 from effdiff.identify import CoarseModel, Measurements, NoiseSpec, \
     apply_measurement_noise, assemble_m, descend, draw_matrix_perturbations, \
     fd_gradient, identify, make_objective, me_ms_identity_check, \
-    mean_measurements, one_d_noise_descent, one_d_noise_objective, \
-    one_d_noise_optimum, psi_max_from_m, psi_sigma_value, simulate_measurements
+    one_d_noise_descent, one_d_noise_objective, one_d_noise_optimum, \
+    psi_max_from_m, psi_sigma_value, simulate_measurements
 from effdiff.mesh import build_unit_square_mesh
 from effdiff.modes import affine_modes, compute_r_modes, modes_on_mesh
 from effdiff.solver import NeumannSolver
@@ -50,19 +50,6 @@ def test_batched_solve_rejects_one_nonzero_mean_column():
     data[:, 1] += 1.0
     with pytest.raises(ValueError, match="nonzero boundary mean"):
         solver.solve(data)
-
-
-def test_mean_measurements_averages():
-    mesh = build_unit_square_mesh(10)
-    basis = affine_modes(mesh)
-    m1 = simulate_measurements(mesh, constant_field(SymMat.identity(2.0)),
-                               basis)
-    m2 = simulate_measurements(mesh, constant_field(SymMat.identity(4.0)),
-                               basis)
-    mean = mean_measurements([m1, m2])
-    assert np.abs(mean.energies - 0.5 * (m1.energies + m2.energies)
-                  ).max() < 1e-14
-    assert mean.provenance["averaged_over"] == 2
 
 
 # ---------------------------------------------------------------------------
