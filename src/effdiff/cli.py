@@ -242,17 +242,18 @@ def load_config(path: str) -> RunConfig:
         for eps in cfg.epsilons:
             p = resolve_p(eps, cfg.p)
             _expect(cfg.q >= p, f"Q = {cfg.q} < P = {p} at eps = {eps}")
-    _expect(cfg.epsilons or cfg.experiment not in FIRST_EPSILON_EXPERIMENTS,
-            f"'epsilons' must not be empty for {cfg.experiment}")
+    # the default list is not empty, and homogenize rejects the key
+    _expect(cfg.epsilons, f"'epsilons' must not be empty for "
+                          f"{cfg.experiment}")
     return cfg
 
 
 def resolve_report(cfg: RunConfig) -> list[str]:
     """Human-readable resolution of defaults; used by --validate."""
-    lines = [f"experiment: {cfg.experiment}",
-             f"coefficient: {cfg.coefficient}",
-             f"profile: {cfg.profile}",
-             f"base_seed: {cfg.base_seed}"]
+    lines = [f"experiment: {cfg.experiment}"]
+    if reads(cfg, "coefficient"):
+        lines.append(f"coefficient: {cfg.coefficient}")
+    lines += [f"profile: {cfg.profile}", f"base_seed: {cfg.base_seed}"]
     if reads(cfg, "r"):
         lines.append(f"r: {cfg.resolved_r()}")
     if reads(cfg, "coarse_H"):
@@ -260,8 +261,9 @@ def resolve_report(cfg: RunConfig) -> list[str]:
                      f"(coarse n = {coarse_mesh_n(cfg.coarse_h)})")
     for eps in cfg.run_epsilons() if reads(cfg, "r") else ():
         n = cfg.fine_n(eps)
-        modes = f"P = {resolve_p(eps, cfg.p)}, Q = {cfg.q}, " \
-            if reads(cfg, "P") else ""
+        modes = f"P = {resolve_p(eps, cfg.p)}, " if reads(cfg, "P") else ""
+        if reads(cfg, "Q"):
+            modes += f"Q = {cfg.q}, "
         lines.append(f"eps = {eps}: {modes}fine n = {n} "
                      f"({(n + 1) ** 2} nodes)")
     if reads(cfg, "M1"):
@@ -328,7 +330,7 @@ def run_experiment(cfg: RunConfig) -> list[dict]:
             base_seed=cfg.base_seed, coarse_h=cfg.coarse_h)
 
     if cfg.experiment == "one_d_profile":
-        eps = cfg.epsilons[0] if cfg.epsilons else 1e-3
+        eps = cfg.epsilons[0]
         table = one_d_profile(lambda x: 2.0 + np.cos(2.0 * np.pi * x), eps,
                               np.linspace(*cfg.grid))
         # scalar candidate stored in a11, objective value in psi_final

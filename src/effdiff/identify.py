@@ -7,10 +7,12 @@ mesh, by Armijo gradient descent.  Baseline objectives built from boundary
 traces (surface measurements) and from full volume fields are included for
 comparison.  Every objective has an exact adjoint gradient: the surrogate
 stiffness is a11 K11 + a12 K12 + a22 K22, so its derivative in an entry is
-a unit stiffness, and each objective only supplies its adjoint states.  Two
-noise mechanisms are implemented: multiplicative noise on the measured
-energies, and additive random perturbations of the candidate matrix inside
-the surrogate solves.
+a unit stiffness, and each objective only supplies its adjoint states.  The
+surrogate is factored by banded Cholesky of that combination of cached
+bands; measurements and the single-mesh identity check go through
+``NeumannSolver``.  Two noise mechanisms are implemented: multiplicative
+noise on the measured energies, and additive random perturbations of the
+candidate matrix inside the surrogate solves.
 """
 
 from __future__ import annotations
@@ -27,7 +29,8 @@ from .mesh import TriMesh, boundary_mass_matrix, interpolate_boundary, \
     interpolation_matrix, zero_mean_project
 from .mesh import interpolate_nodal  # noqa: F401  (bench/child.py wraps it)
 from .modes import ModeBasis, extreme_eigenpairs, fix_sign, modes_on_mesh
-from .solver import NeumannSolver, assemble_volume_mass, unit_stiffnesses
+from .solver import NeumannSolver, PinnedBandCholesky, \
+    assemble_volume_mass, boundary_load, unit_stiffnesses
 
 
 # ---------------------------------------------------------------------------
@@ -82,7 +85,8 @@ class CoarseEvaluation:
     energies: np.ndarray       # (P,)
     traces: np.ndarray         # (P, nb)
     values: np.ndarray         # (P, num_nodes)
-    solver: NeumannSolver      # the candidate's factorization
+    model: CoarseModel         # mesh, boundary mass and mode loads
+    factor: PinnedBandCholesky  # the candidate's factorization
 
     def sensitivity(self, z: np.ndarray,
                     u: np.ndarray | None = None) -> np.ndarray:
@@ -96,15 +100,17 @@ class CoarseEvaluation:
         """
         z = np.atleast_2d(z)
         u = self.values if u is None else np.atleast_2d(u)
-        return np.array([np.vdot(z, (k @ u.T).T)
-                         for k in unit_stiffnesses(self.solver.mesh.n)])
+        # einsum, not BLAS vdot, for the reason in PinnedBandCholesky
+        return np.array([np.einsum("pn,np->", z, k @ u.T)
+                         for k in unit_stiffnesses(self.model.mesh.n)])
 
 
 class CoarseModel:
     """Per-candidate solves of the constant-coefficient surrogate.
 
-    Holds the coarse mesh and mode basis; each candidate matrix costs one
-    sparse factorization plus P solves.
+    Holds the coarse mesh, the mode basis and the modes' nodal loads; each
+    candidate matrix costs one banded Cholesky factorization and one solve
+    of all P loads at once.
     """
 
     def __init__(self, coarse_mesh: TriMesh, basis: ModeBasis):
@@ -112,20 +118,20 @@ class CoarseModel:
             raise ValueError("mode basis does not live on the coarse mesh")
         self.mesh = coarse_mesh
         self.basis = basis
+        self.boundary_mass = boundary_mass_matrix(coarse_mesh)
+        self.loads = boundary_load(coarse_mesh, self.boundary_mass,
+                                   basis.modes.T)   # (num_nodes, P)
 
     def evaluate(self, abar: SymMat) -> CoarseEvaluation:
         if not abar.is_spd():
             raise ValueError(f"candidate {abar} is not positive definite")
-        solver = NeumannSolver(self.mesh, constant_field(abar))
-        p = self.basis.count
-        energies = np.empty(p)
-        values = np.empty((p, self.mesh.num_nodes))
-        for k in range(p):
-            values[k] = solver.solve(self.basis.modes[k], check_mean=False)
-            energies[k] = solver.energy(self.basis.modes[k], values[k])
+        factor = PinnedBandCholesky(abar, self.mesh.n)
+        u = factor.solve(self.loads)
+        # the stored energy -1/2 <g, u|boundary> of each mode is -1/2 b.u
+        energies = -0.5 * np.einsum("np,np->p", self.loads, u)
         return CoarseEvaluation(abar=abar, energies=energies,
-                                traces=values[:, self.mesh.boundary_loop],
-                                values=values, solver=solver)
+                                traces=u[self.mesh.boundary_loop].T,
+                                values=u.T, model=self, factor=factor)
 
 
 # ---------------------------------------------------------------------------
@@ -144,7 +150,7 @@ def assemble_m(meas: Measurements, coarse: CoarseEvaluation,
     if meas.cross is None:
         delta = meas.energies - coarse.energies
         return np.diag(-delta), True
-    mb = coarse.solver.boundary_mass
+    mb = coarse.model.boundary_mass
     # s_coarse[p, q], like meas.cross[p, q], pairs mode p with the trace
     # driven by q, so meas.cross.T is oriented the other way; the average
     # with the transpose makes the orientation of either table irrelevant
@@ -438,8 +444,8 @@ def make_objective(meas: Measurements, coarse_mesh: TriMesh,
     Every objective is differentiated through the surrogate stiffness
     a11 K11 + a12 K12 + a22 K22 (``CoarseEvaluation.sensitivity``), so a
     call costs one surrogate evaluation (one per draw under coefficient
-    noise) plus, for ``ms`` and ``mv``, P adjoint solves on its
-    factorization.  Work that does not depend on the candidate (measured
+    noise) plus, for ``ms`` and ``mv``, one solve of the P adjoint loads on
+    its factorization.  Work that does not depend on the candidate (measured
     traces on the coarse boundary, the fine-mesh interpolation and mass
     matrix) is done here, once.
     """
@@ -496,8 +502,9 @@ def make_objective(meas: Measurements, coarse_mesh: TriMesh,
         def fn(abar):
             coarse = model.evaluate(abar)
             diffs = measured - coarse.traces
-            gram = diffs @ (coarse.solver.boundary_mass @ diffs.T)
-            z = [coarse.solver.solve(d, check_mean=False) for d in diffs]
+            gram = diffs @ (model.boundary_mass @ diffs.T)
+            z = coarse.factor.solve(
+                boundary_load(coarse_mesh, model.boundary_mass, diffs.T)).T
             return float(np.trace(gram)), 2.0 * coarse.sensitivity(z)
         return fn
     if kind == "mv":
@@ -507,8 +514,7 @@ def make_objective(meas: Measurements, coarse_mesh: TriMesh,
             coarse = model.evaluate(abar)
             diffs = meas.volume_fields - (interp @ coarse.values.T).T
             weighted = mass @ diffs.T
-            loads = (interp.T @ weighted).T
-            z = [coarse.solver.solve_load(b) for b in loads]
+            z = coarse.factor.solve(interp.T @ weighted).T
             return (float(np.trace(diffs @ weighted)),
                     2.0 * coarse.sensitivity(z))
         return fn

@@ -1,19 +1,30 @@
 """P1 finite elements for pure-Neumann and periodic diffusion problems.
 
-Both problems have the constants as kernel.  Every solve goes through one
-factorization path, ``PinnedLU``: one node is pinned to zero, the others are
-factored in George's nested-dissection order of the structured grid with
-diagonal pivots, and the zero boundary mean (Neumann) or zero cell average
-(corrector) is restored by subtracting a constant, which matches the
-continuous normalization of the solution space.  Coefficients are sampled
-once per triangle at the barycenter (one-point quadrature), which is exact
-for piecewise-constant checkerboard fields on aligned meshes.
+Both problems have the constants as kernel.  Every factorization pins one
+node to zero and restores the zero boundary mean (Neumann) or zero cell
+average (corrector) by subtracting a constant, which matches the continuous
+normalization of the solution space; ``PinnedFactor`` holds that
+normalization once, and two factorizations sit under it:
+
+- ``PinnedLU``, SuperLU in George's nested-dissection order of the
+  structured grid with diagonal pivots, serves every solve with a variable
+  coefficient (fine meshes, the corrector) and ``NeumannSolver`` for any
+  field.  Its fill grows like N log N, so it is the one that scales.
+- ``PinnedBandCholesky``, LAPACK's banded Cholesky in natural order, serves
+  the coarse surrogate, which factors thousands of constant matrices on one
+  small grid.  Its stiffness is a combination of three cached bands, and
+  the band's N n^2 work beats SuperLU's per-factorization set-up at those
+  sizes.
+
+Coefficients are sampled once per triangle at the barycenter (one-point
+quadrature), which is exact for piecewise-constant checkerboard fields on
+aligned meshes.
 
 Work that does not depend on the coefficient is done once per grid size n,
 since the nodes and triangles of both mesh builders depend on n alone: the
 elimination order, the boundary mass and constraint, and the stiffnesses of
-the three unit coefficients, from which a constant coefficient's stiffness
-is a linear combination.
+the three unit coefficients (and their bands), from which a constant
+coefficient's stiffness is a linear combination.
 """
 
 from __future__ import annotations
@@ -24,8 +35,9 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
+from scipy.linalg import lapack
 
-from .coefficients import CoefficientField
+from .coefficients import CoefficientField, SymMat
 from .mesh import TriMesh, boundary_mass_matrix, build_unit_square_mesh
 
 
@@ -106,6 +118,15 @@ def assemble_volume_mass(mesh: TriMesh) -> sp.csr_matrix:
     return m.tocsr()
 
 
+def boundary_load(mesh: TriMesh, mass: sp.spmatrix,
+                  g: np.ndarray) -> np.ndarray:
+    """Nodal load of boundary data g over the loop DOFs, shape (nb,) or
+    (nb, k): the boundary mass product placed on the loop nodes."""
+    b = np.zeros((mesh.num_nodes,) + g.shape[1:])
+    b[mesh.boundary_loop] = mass @ g
+    return b
+
+
 def element_gradients(mesh: TriMesh, u: np.ndarray) -> np.ndarray:
     """Per-triangle gradient of a P1 field, shape (M, 2)."""
     _, grads, _ = triangle_geometry(mesh)
@@ -151,36 +172,105 @@ def nested_dissection(nx: int, ny: int, periodic: bool = False) -> np.ndarray:
     return np.concatenate(parts)
 
 
-class PinnedLU:
-    """Sparse LU of a stiffness K whose kernel is the constants.
+class PinnedFactor:
+    """A factored stiffness K whose kernel is the constants.
 
-    Solutions are normalized by ``weights @ u = 0``.  The last node of
-    ``order`` is pinned to zero and the others are factored in that order
-    with diagonal pivots (for a coercive coefficient, K without the pinned
-    node is symmetric positive definite).  A load b is first made
-    compatible, b - weights * sum(b) / sum(weights), the load a Lagrange
-    multiplier for the constraint would leave; the pinned solution is then
-    shifted by a constant.  A load of shape (nodes, k) is k loads, solved
-    at once and shifted column by column.
+    Solutions are normalized by ``weights @ u = 0``.  One node is pinned to
+    zero; a subclass factors K without it (symmetric positive definite for
+    a coercive coefficient) and solves with that factor in ``_solve_free``.
+    A load b is first made compatible, b - weights * sum(b) / sum(weights),
+    the load a Lagrange multiplier for the constraint would leave; the
+    pinned solution is then shifted by a constant, so the choice of pinned
+    node only affects rounding.  A load of shape (nodes, k) is k loads,
+    solved at once and shifted column by column.
     """
 
-    def __init__(self, k: sp.spmatrix, order: np.ndarray,
-                 weights: np.ndarray):
-        self._free = order[:-1]
+    def __init__(self, free: np.ndarray | slice, weights: np.ndarray):
+        self._free = free   # every node but the pinned one
         self._weights = weights
-        self._lu = spla.splu(k[self._free][:, self._free].tocsc(),
-                             permc_spec="NATURAL", diag_pivot_thresh=0.0,
-                             options={"SymmetricMode": True})
-        self.nnz = self._lu.nnz
 
     def solve(self, b: np.ndarray) -> np.ndarray:
         w, free = self._weights, self._free
         w_free = w[free].reshape((-1,) + (1,) * (b.ndim - 1))
-        # column-major, the layout SuperLU solves in, so u.T is contiguous
+        # column-major, the layout both factors solve in, so u.T is
+        # contiguous
         u = np.zeros(b.shape, order="F")
-        u[free] = self._lu.solve(b[free] - w_free * (b.sum(axis=0) / w.sum()))
+        u[free] = self._solve_free(b[free]
+                                   - w_free * (b.sum(axis=0) / w.sum()))
         u -= (w @ u) / w.sum()
         return u
+
+
+class PinnedLU(PinnedFactor):
+    """Sparse LU (SuperLU) of a stiffness K, any coefficient.
+
+    The last node of ``order`` is pinned and the others are factored in
+    that order with diagonal pivots.
+    """
+
+    def __init__(self, k: sp.spmatrix, order: np.ndarray,
+                 weights: np.ndarray):
+        super().__init__(order[:-1], weights)
+        self._lu = spla.splu(k[self._free][:, self._free].tocsc(),
+                             permc_spec="NATURAL", diag_pivot_thresh=0.0,
+                             options={"SymmetricMode": True})
+        self.nnz = self._lu.nnz
+        self._solve_free = self._lu.solve
+
+
+@functools.lru_cache(maxsize=2)
+def unit_bands(n: int) -> np.ndarray:
+    """K11, K12 and K22 of the n-grid without its last node, banded.
+
+    In natural order node i + j (n + 1) couples only to nodes at most
+    n + 2 away, its diagonal neighbours, so the half-bandwidth is n + 2.
+    ``bands[k, j, i - j] = K_k[i, j]`` for j <= i <= j + n + 2: the
+    transpose of ``bands[k]`` is LAPACK's lower band storage, column-major,
+    so a combination of the three is factored in place.
+    """
+    kd = n + 2
+    bands = np.zeros((3, (n + 1) ** 2 - 1, kd + 1))
+    for band, k in zip(bands, unit_stiffnesses(n)):
+        lower = sp.tril(k[:-1, :-1]).tocoo()
+        band[lower.col, lower.row - lower.col] = lower.data
+    bands.flags.writeable = False
+    return bands
+
+
+class PinnedBandCholesky(PinnedFactor):
+    """Banded Cholesky (LAPACK ``dpbtrf``) of the Neumann stiffness
+    a11 K11 + a12 K12 + a22 K22 of a constant matrix A on the n-grid.
+
+    The last node of the natural order is pinned, and solutions have zero
+    boundary mean, as from ``NeumannSolver``.  The stiffness is a
+    combination of three cached bands, so nothing is assembled per matrix,
+    and at the coarse surrogate's sizes the band factors faster than
+    SuperLU.  The lower band is used: below LAPACK's block size (half-
+    bandwidth 32) its unblocked factorization updates contiguous columns,
+    which OpenBLAS keeps on one thread, while the upper band's strided
+    updates wake every BLAS thread once per column.  Raises ValueError if
+    the band is not numerically positive definite.
+    """
+
+    def __init__(self, a: SymMat, n: int):
+        _, weights, _ = _neumann_setup(n)
+        super().__init__(slice(None, -1), weights)
+        # elementwise, not a BLAS product: numpy's and scipy's OpenBLAS keep
+        # separate thread pools, and numpy's threads left spinning stall the
+        # blocked factorization's threaded triangular solves (n = 71)
+        b11, b12, b22 = unit_bands(n)
+        band = (a.a11 * b11 + a.a12 * b12 + a.a22 * b22).T
+        self._band, info = lapack.dpbtrf(band, lower=1, overwrite_ab=1)
+        if info != 0:
+            raise ValueError(f"banded Cholesky of {a} failed (LAPACK dpbtrf "
+                             f"info = {info})")
+
+    def _solve_free(self, b: np.ndarray) -> np.ndarray:
+        x, info = lapack.dpbtrs(self._band, b.reshape(b.shape[0], -1),
+                                lower=1)
+        if info != 0:
+            raise ValueError(f"LAPACK dpbtrs info = {info}")
+        return x.reshape(b.shape)
 
 
 @functools.lru_cache(maxsize=2)
@@ -215,9 +305,7 @@ class NeumannSolver:
         self._lu = PinnedLU(self.stiffness, order, self._constraint)
 
     def _boundary_load(self, g: np.ndarray) -> np.ndarray:
-        b = np.zeros((self.mesh.num_nodes,) + g.shape[1:])
-        b[self.mesh.boundary_loop] = self.boundary_mass @ g
-        return b
+        return boundary_load(self.mesh, self.boundary_mass, g)
 
     def solve(self, g: np.ndarray, check_mean: bool = True) -> np.ndarray:
         """Nodal solution with zero boundary mean; g over boundary DOFs."""
@@ -228,15 +316,7 @@ class NeumannSolver:
                 f"boundary datum has nonzero boundary mean "
                 f"({np.max(np.abs(mean)):.3e}); the pure-Neumann problem "
                 "is incompatible")
-        return self.solve_load(self._boundary_load(g))
-
-    def solve_load(self, b: np.ndarray) -> np.ndarray:
-        """Nodal solution with zero boundary mean for a nodal load b.
-
-        The load's constant component is removed first, so the map is the
-        symmetric pseudo-inverse of the stiffness on that space.
-        """
-        return self._lu.solve(b)
+        return self._lu.solve(self._boundary_load(g))
 
     def trace(self, u: np.ndarray) -> np.ndarray:
         return u[self.mesh.boundary_loop]

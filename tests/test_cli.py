@@ -57,6 +57,8 @@ def test_schema_violations(tmp_path, capsys):
         {"schema_version": 1, "experiment": "sweep",
          "coefficient": "checkerboard", "M1": True},
         {"schema_version": 1, "experiment": "sweep", "r": True},
+        {"schema_version": 1, "experiment": "sweep", "epsilons": []},
+        base_doc(epsilons=[]),
     ]
     for doc in cases:
         code = main([write_config(tmp_path, doc)])
@@ -340,6 +342,19 @@ def test_noise_study_reads_no_q(tmp_path, capsys):
            "epsilons": [0.2], "P": 12}
     assert main([write_config(tmp_path, doc), "--validate"]) == EXIT_OK
     assert "eps = 0.2: P = 12," in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("experiment, absent", [
+    ("noise_measurement", "Q = "), ("noise_coefficient", "Q = "),
+    ("one_d_profile", "coefficient:")])
+def test_validate_omits_settings_the_run_does_not_read(tmp_path, capsys,
+                                                       experiment, absent):
+    doc = {"schema_version": 1, "experiment": experiment,
+           "epsilons": [0.2]}
+    assert main([write_config(tmp_path, doc), "--validate"]) == EXIT_OK
+    out = capsys.readouterr().out
+    assert out.startswith(f"experiment: {experiment}\n")
+    assert absent not in out
 
 
 @pytest.mark.parametrize("seed", [0, 1, 7])

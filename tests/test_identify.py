@@ -10,7 +10,8 @@ from effdiff.identify import CoarseModel, Measurements, NoiseSpec, \
     psi_max_from_m, psi_sigma_value, simulate_measurements
 from effdiff.mesh import build_unit_square_mesh
 from effdiff.modes import affine_modes, compute_r_modes, modes_on_mesh
-from effdiff.solver import NeumannSolver
+import effdiff.solver as solver_module
+from effdiff.solver import NeumannSolver, PinnedBandCholesky
 
 from conftest import random_spd
 
@@ -70,6 +71,54 @@ def test_coarse_model_rejects_indefinite(coarse_mesh):
     model = CoarseModel(coarse_mesh, basis)
     with pytest.raises(ValueError):
         model.evaluate(SymMat(1.0, 5.0, 1.0))
+    # the factorization itself refuses a band that is not positive definite
+    with pytest.raises(ValueError, match="dpbtrf"):
+        PinnedBandCholesky(SymMat(1.0, 5.0, 1.0), coarse_mesh.n)
+
+
+def _near_singular(rng, ratio):
+    a11, a22 = 5.0 + 20.0 * rng.random(2)
+    return SymMat(a11, -ratio * np.sqrt(a11 * a22), a22)
+
+
+@pytest.mark.parametrize("n", [8, 29, 71])
+def test_banded_surrogate_matches_neumann_solver(n):
+    mesh = build_unit_square_mesh(n)
+    basis = compute_r_modes(mesh, 5)
+    model = CoarseModel(mesh, basis)
+    rng = np.random.default_rng(n)
+    candidates = [random_spd(rng) for _ in range(3)] + [
+        _near_singular(rng, ratio) for ratio in (0.99, 0.999, 0.9999)]
+    for a in candidates:
+        out = model.evaluate(a)
+        ref_solver = NeumannSolver(mesh, constant_field(a))
+        ref = ref_solver.solve(basis.modes.T).T
+        ref_energies = [ref_solver.energy(g, u)
+                        for g, u in zip(basis.modes, ref)]
+        # two backward-stable factorizations agree to the forward error of
+        # the pinned system: rounding times its condition number, which
+        # grows like cond(A) (n + 1)^2 (1e-12 at n = 29 for cond(A) = 1)
+        lo, hi = a.eigenvalues()
+        tol = 1e-15 * (hi / lo) * mesh.num_nodes
+        for got, want in ((out.energies, ref_energies), (out.values, ref),
+                          (out.traces, ref[:, mesh.boundary_loop])):
+            assert np.abs(got - want).max() <= tol * np.abs(want).max(), a
+        # and the banded solution solves the surrogate system itself
+        residual = ref_solver.stiffness @ out.values.T - model.loads
+        assert np.abs(residual).max() <= 1e-12 * np.abs(
+            ref_solver.stiffness).max() * np.abs(out.values).max()
+
+
+def test_coarse_evaluation_assembles_nothing_and_builds_no_solver(
+        coarse_mesh, monkeypatch):
+    def forbidden(*args, **kwargs):
+        raise AssertionError("the coarse surrogate left the banded path")
+
+    model = CoarseModel(coarse_mesh, compute_r_modes(coarse_mesh, 3))
+    monkeypatch.setattr(solver_module.NeumannSolver, "__init__", forbidden)
+    monkeypatch.setattr(solver_module, "assemble_stiffness", forbidden)
+    out = model.evaluate(SymMat(19.0, 0.3, 12.0))
+    assert np.all(out.energies < 0.0)
 
 
 def test_m_diagonal_is_energy_gap(small_periodic_setup, coarse_mesh):
