@@ -63,7 +63,6 @@ class CoefficientField:
     kind: str  # constant | periodic_analytic | epsilon_scaled | checkerboard
     evaluate: Callable[[np.ndarray], np.ndarray]  # (m,2) -> (m,2,2)
     alpha: float
-    beta: float
 
     def __call__(self, points: np.ndarray) -> np.ndarray:
         return self.evaluate(np.atleast_2d(points))
@@ -71,12 +70,11 @@ class CoefficientField:
 
 def constant_field(m: SymMat) -> CoefficientField:
     a = m.as_array()
-    lo, hi = m.eigenvalues()
 
     def ev(points):
         return np.broadcast_to(a, (points.shape[0], 2, 2))
 
-    return CoefficientField("constant", ev, alpha=float(lo), beta=float(hi))
+    return CoefficientField("constant", ev, alpha=float(m.eigenvalues()[0]))
 
 
 def periodic_smooth_field() -> CoefficientField:
@@ -87,11 +85,11 @@ def periodic_smooth_field() -> CoefficientField:
         out[:, 1, 1] = 12.0 + 2.0 * s
         return out
 
-    return CoefficientField("periodic_analytic", ev, alpha=2.0, beta=42.0)
+    return CoefficientField("periodic_analytic", ev, alpha=2.0)
 
 
 def layered_field(a_of_y: Callable[[np.ndarray], np.ndarray],
-                  alpha: float, beta: float) -> CoefficientField:
+                  alpha: float) -> CoefficientField:
     """Scalar field a(y) * Id varying in the second coordinate only."""
 
     def ev(points):
@@ -101,7 +99,7 @@ def layered_field(a_of_y: Callable[[np.ndarray], np.ndarray],
         out[:, 1, 1] = a
         return out
 
-    return CoefficientField("periodic_analytic", ev, alpha=alpha, beta=beta)
+    return CoefficientField("periodic_analytic", ev, alpha=alpha)
 
 
 def scale_epsilon(field: CoefficientField, eps: float) -> CoefficientField:
@@ -113,8 +111,7 @@ def scale_epsilon(field: CoefficientField, eps: float) -> CoefficientField:
     def ev(points):
         return inner(points / eps)
 
-    return CoefficientField("epsilon_scaled", ev, alpha=field.alpha,
-                            beta=field.beta)
+    return CoefficientField("epsilon_scaled", ev, alpha=field.alpha)
 
 
 def sample_checkerboard(seed: int, eps: float) -> CoefficientField:
@@ -138,7 +135,7 @@ def sample_checkerboard(seed: int, eps: float) -> CoefficientField:
         out[:, 1, 1] = a
         return out
 
-    return CoefficientField("checkerboard", ev, alpha=4.0, beta=16.0)
+    return CoefficientField("checkerboard", ev, alpha=4.0)
 
 
 def mean_over_cell(field: CoefficientField, quad_n: int = 256) -> SymMat:

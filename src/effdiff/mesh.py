@@ -51,20 +51,24 @@ class TriMesh:
         return int(self.dof_of_node.max()) + 1
 
 
+# Cell (i, j) is split along its lower-left / upper-right diagonal into a
+# lower (v00, v10, v11) and an upper (v00, v11, v01) triangle, given here by
+# the (di, dj) offsets of their vertices from node v00 = (i, j).
+CELL_TRIANGLES = np.array([[(0, 0), (1, 0), (1, 1)],
+                           [(0, 0), (1, 1), (0, 1)]])
+
+
 def _grid(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Nodes i + j (n + 1) at (i, j) / n, and triangles: every lower one in
+    cell order i + j n, then every upper one in the same order."""
     xs = np.linspace(0.0, 1.0, n + 1)
     X, Y = np.meshgrid(xs, xs, indexing="xy")
     nodes = np.column_stack([X.ravel(), Y.ravel()])
 
-    # cell (i, j) split along the lower-left / upper-right diagonal
     i, j = np.meshgrid(np.arange(n), np.arange(n), indexing="xy")
     v00 = (i + j * (n + 1)).ravel()
-    v10 = v00 + 1
-    v01 = v00 + (n + 1)
-    v11 = v01 + 1
-    lower = np.column_stack([v00, v10, v11])
-    upper = np.column_stack([v00, v11, v01])
-    triangles = np.vstack([lower, upper])
+    offsets = CELL_TRIANGLES[..., 0] + CELL_TRIANGLES[..., 1] * (n + 1)
+    triangles = (offsets[:, None, :] + v00[None, :, None]).reshape(-1, 3)
     return nodes, triangles
 
 

@@ -20,11 +20,21 @@ Coefficients are sampled once per triangle at the barycenter (one-point
 quadrature), which is exact for piecewise-constant checkerboard fields on
 aligned meshes.
 
+Assembly is vectorized over the grid's structure (as in Cuvelier, Japhet &
+Scarella, BIT Numer. Math. 56, 2016).  Every triangle is one of the two
+cell triangles scaled by 1/n, so its local stiffness is linear in (a11,
+a12, a22) with one fixed table per shape, and its local mass is a constant.
+The local entries of all cells are formed elementwise, summed by slices
+into one 7-point stencil row per node, and scattered by one ``bincount``
+into a ``GridLayout``: every node in natural order, or the pinned block in
+nested-dissection order that ``PinnedLU`` factors, so no matrix is sliced
+before it is factored.
+
 Work that does not depend on the coefficient is done once per grid size n,
 since the nodes and triangles of both mesh builders depend on n alone: the
-elimination order, the boundary mass and constraint, and the stiffnesses of
-the three unit coefficients (and their bands), from which a constant
-coefficient's stiffness is a linear combination.
+layouts with their elimination orders, the boundary mass and constraint,
+and the stiffnesses of the three unit coefficients (and their bands), from
+which a constant coefficient's stiffness is a linear combination.
 """
 
 from __future__ import annotations
@@ -38,7 +48,8 @@ import scipy.sparse.linalg as spla
 from scipy.linalg import lapack
 
 from .coefficients import CoefficientField, SymMat
-from .mesh import TriMesh, boundary_mass_matrix, build_unit_square_mesh
+from .mesh import CELL_TRIANGLES, TriMesh, boundary_mass_matrix, \
+    build_unit_square_mesh
 
 
 def triangle_geometry(mesh: TriMesh):
@@ -62,60 +73,197 @@ def triangle_geometry(mesh: TriMesh):
     return areas, grads, barycenters
 
 
-def _assemble(mesh: TriMesh, amat: np.ndarray, areas: np.ndarray,
-              grads: np.ndarray) -> sp.csr_matrix:
-    """Stiffness of per-triangle coefficients amat, shape (M, 2, 2)."""
-    # local k_ab = |T| * grad_a . A grad_b
-    ag = np.einsum("tij,tbj->tbi", amat, grads)
-    local = np.einsum("tai,tbi->tab", grads, ag) * areas[:, None, None]
+# ---------------------------------------------------------------------------
+# assembly on the structured n-grid
+#
+# Every triangle of the n-grid is one of the two cell triangles of
+# mesh.CELL_TRIANGLES, scaled by h = 1/n, so |T| = 1/(2 n^2) and
+# n grad phi_k depends on the shape alone.  Each entry of a local matrix is
+# added to the stencil row of its row's node: ``rows[j, i, k]`` couples node
+# (i, j) to its neighbour (i, j) + _STENCIL[k].  A cached GridLayout then
+# scatters the stencil rows into the stored entries of a sparse matrix.
 
-    tri = mesh.triangles
-    rows = np.repeat(tri, 3, axis=1).ravel()
-    cols = np.tile(tri, (1, 3)).ravel()
-    k = sp.coo_matrix((local.ravel(), (rows, cols)),
-                      shape=(mesh.num_nodes, mesh.num_nodes))
-    return k.tocsr()
+# the (di, dj) between two vertices of one triangle
+_STENCIL = sorted({tuple(q - p) for shape in CELL_TRIANGLES
+                   for p in shape for q in shape})
+
+
+def _local_stiffness() -> np.ndarray:
+    """Local stiffness of each cell triangle per unit coefficient entry,
+    shape (2, 3, 3, 3): entry (s, a, b) holds the factors of (a11, a12,
+    a22) in |T| grad phi_a . A grad phi_b = G_a . A G_b / 2 for every n."""
+    # G_k = n grad phi_k: the edge opposite vertex k turned by 90 degrees,
+    # over 2 |T| n^2 = 1
+    a = np.roll(CELL_TRIANGLES, -1, axis=1)
+    b = np.roll(CELL_TRIANGLES, -2, axis=1)
+    gx = (a[..., 1] - b[..., 1])[..., None]
+    gy = (b[..., 0] - a[..., 0])[..., None]
+    gxt, gyt = gx.swapaxes(1, 2), gy.swapaxes(1, 2)
+    return 0.5 * np.stack([gx * gxt, gx * gyt + gy * gxt, gy * gyt], axis=-1)
+
+
+_LOCAL_STIFFNESS = _local_stiffness()
+
+# (shape, a, b, targets) for the entries a <= b of a local matrix, which is
+# symmetric: entry (a, b) goes to the stencil row of vertex a at the slot of
+# vertex b, and (b, a) the other way round; a target is (di, dj, k), the
+# offset of the row's node from the cell's node v00 and the stencil slot
+_LOCAL_TERMS = tuple(
+    (s, a, b, tuple((*shape[p], _STENCIL.index(tuple(shape[q] - shape[p])))
+                    for p, q in {(a, b), (b, a)}))
+    for s, shape in enumerate(CELL_TRIANGLES)
+    for a in range(3) for b in range(a, 3))
+
+
+@dataclass(frozen=True)
+class GridLayout:
+    """Stored entries of the P1 matrices of the n-grid in one layout.
+
+    The unknowns are the nodes (natural order), or with ``periodic`` the n^2
+    classes of the periodic cell; with ``order`` they are taken in that order
+    without its last one, which is pinned.  ``slot[7 v + k]`` is the stored
+    position of node v's coupling to its neighbour ``_STENCIL[k]``, and
+    ``nnz`` for a coupling the layout drops (outside the grid, or pinned).
+    Couplings that land on one entry (the periodic images) are summed.
+    """
+
+    n: int
+    order: np.ndarray | None
+    slot: np.ndarray
+    indices: np.ndarray
+    indptr: np.ndarray
+
+    @property
+    def shape(self) -> tuple[int, int]:
+        return (self.indptr.shape[0] - 1,) * 2
+
+    @property
+    def nnz(self) -> int:
+        return self.indices.shape[0]
+
+    def assemble(self, entry) -> sp.csr_matrix:
+        """The matrix of the local matrices whose entry (a, b) on the
+        triangles of shape s is ``entry(s, a, b)``: an array (n, n) over the
+        cells [j, i], or anything that broadcasts to it.
+
+        The matrix shares the layout's index arrays, which are read-only:
+        copy it before changing its sparsity.  A copy per matrix, held
+        through a factorization, raised the peak RSS of six n = 300
+        realizations by 3 MB.
+        """
+        n = self.n
+        rows = np.zeros((n + 1, n + 1, len(_STENCIL)))
+        for s, a, b, targets in _LOCAL_TERMS:
+            value = entry(s, a, b)
+            for di, dj, k in targets:
+                rows[dj:dj + n, di:di + n, k] += value
+        data = np.bincount(self.slot, weights=rows.ravel(),
+                           minlength=self.nnz + 1)[:-1]
+        return sp.csr_matrix((data, self.indices, self.indptr),
+                             shape=self.shape)
+
+
+@functools.lru_cache(maxsize=4)
+def grid_layout(n: int, periodic: bool = False,
+                pinned: bool = False) -> GridLayout:
+    """Layout of the n-grid's matrices: every node in natural order, or the
+    periodic classes (``periodic``), or either without its pinned unknown
+    in nested-dissection order (``pinned``), the layout ``PinnedLU``
+    factors.  The sparsity is that of the triangulation, kept when an entry
+    is zero, so a matrix's stored pattern does not depend on its values."""
+    if not pinned:
+        order = None
+    elif periodic:
+        order = nested_dissection(n, n, periodic=True)
+    else:
+        order = nested_dissection(n + 1, n + 1)
+    size = n * n if periodic else (n + 1) ** 2
+    pos = np.arange(size)
+    if pinned:
+        pos[order] = np.arange(size)  # the pinned unknown goes to size - 1
+        size -= 1
+
+    def unknown(i, j):
+        return pos[i % n + j % n * n if periodic else i + j * (n + 1)]
+
+    i, j = np.meshgrid(np.arange(n + 1), np.arange(n + 1), indexing="xy")
+    di, dj = np.array(_STENCIL).T
+    ni, nj = i[..., None] + di, j[..., None] + dj
+    inside = (ni >= 0) & (ni <= n) & (nj >= 0) & (nj <= n)
+    row = np.broadcast_to(unknown(i, j)[..., None], inside.shape)
+    col = unknown(np.clip(ni, 0, n), np.clip(nj, 0, n))
+    kept = inside & (row < size) & (col < size)
+    keys, inverse = np.unique(row[kept] * size + col[kept],
+                              return_inverse=True)
+    slot = np.full(kept.size, keys.shape[0], dtype=np.int32)
+    slot[kept.ravel()] = inverse
+    layout = GridLayout(
+        n=n, order=order, slot=slot, indices=(keys % size).astype(np.int32),
+        indptr=np.searchsorted(keys, np.arange(size + 1) * size).astype(
+            np.int32))
+    for a in (order, slot, layout.indices, layout.indptr):
+        if a is not None:
+            a.flags.writeable = False
+    return layout
+
+
+def _barycenters(n: int) -> np.ndarray:
+    """Barycenters of the n-grid's triangles in mesh order, shape (2 n^2,
+    2).  The vertex coordinates are summed in vertex order, as the mean in
+    ``triangle_geometry`` sums them, so the two agree bit for bit and a
+    point on a checkerboard cell's edge falls in the same cell."""
+    xs = np.linspace(0.0, 1.0, n + 1)
+    out = np.empty((2, n, n, 2))
+    for s, ((i0, j0), (i1, j1), (i2, j2)) in enumerate(CELL_TRIANGLES):
+        out[s, :, :, 0] = (xs[i0:i0 + n] + xs[i1:i1 + n] + xs[i2:i2 + n]) / 3.0
+        out[s, :, :, 1] = ((xs[j0:j0 + n] + xs[j1:j1 + n]
+                            + xs[j2:j2 + n]) / 3.0)[:, None]
+    return out.reshape(-1, 2)
+
+
+def _stiffness_entries(a11, a12, a22):
+    """``entry(s, a, b)`` of the local stiffness, for ``GridLayout.assemble``,
+    of the coefficient entries a_ij per triangle: arrays (2, n, n) over shape
+    and cell [j, i], or (2, 1, 1) for a constant.  The entries are formed
+    elementwise, not by a BLAS product, for the reason in
+    ``PinnedBandCholesky``."""
+    coefficients = (a11, a12, a22)
+
+    def entry(s, a, b):
+        return sum(f * c[s]
+                   for f, c in zip(_LOCAL_STIFFNESS[s, a, b], coefficients)
+                   if f)
+
+    return entry
 
 
 @functools.lru_cache(maxsize=2)
 def unit_stiffnesses(n: int) -> tuple[sp.csr_matrix, ...]:
     """Stiffnesses K11, K12, K22 of the coefficients E11, E12 + E21 and E22
     on the n-grid; a constant A has a11 K11 + a12 K12 + a22 K22."""
-    mesh = build_unit_square_mesh(n)
-    areas, grads, _ = triangle_geometry(mesh)
-    units = ([[1.0, 0.0], [0.0, 0.0]], [[0.0, 1.0], [1.0, 0.0]],
-             [[0.0, 0.0], [0.0, 1.0]])
-    return tuple(_assemble(mesh, np.broadcast_to(u, (areas.shape[0], 2, 2)),
-                           areas, grads) for u in units)
+    ones, zeros = np.ones((2, 1, 1)), np.zeros((2, 1, 1))
+    return tuple(grid_layout(n).assemble(_stiffness_entries(*unit))
+                 for unit in ((ones, zeros, zeros), (zeros, ones, zeros),
+                              (zeros, zeros, ones)))
 
 
-def assemble_stiffness(mesh: TriMesh, field: CoefficientField) -> sp.csr_matrix:
-    """Stiffness matrix with the coefficient sampled at barycenters.
-
-    A constant coefficient A gives a11 K11 + a12 K12 + a22 K22 from the
-    cached unit stiffnesses of the grid size.
-    """
-    if field.kind == "constant":
-        a = field(np.zeros((1, 2)))[0]
-        k11, k12, k22 = unit_stiffnesses(mesh.n)
-        return a[0, 0] * k11 + a[0, 1] * k12 + a[1, 1] * k22
-    areas, grads, bary = triangle_geometry(mesh)
-    return _assemble(mesh, field(bary), areas, grads)
+def assemble_stiffness(mesh: TriMesh, field: CoefficientField,
+                       layout: GridLayout | None = None) -> sp.csr_matrix:
+    """Stiffness matrix with the coefficient sampled at barycenters, in
+    ``layout`` (default: every node of the mesh, natural order)."""
+    n = mesh.n
+    a = field(_barycenters(n)).reshape(2, n, n, 2, 2)
+    layout = grid_layout(n) if layout is None else layout
+    return layout.assemble(_stiffness_entries(a[..., 0, 0], a[..., 0, 1],
+                                              a[..., 1, 1]))
 
 
 def assemble_volume_mass(mesh: TriMesh) -> sp.csr_matrix:
     """Consistent P1 mass matrix of L^2((0,1)^2)."""
-    areas, _, _ = triangle_geometry(mesh)
-    local = np.full((areas.shape[0], 3, 3), 1.0 / 12.0)
-    local[:, np.arange(3), np.arange(3)] = 1.0 / 6.0
-    local *= areas[:, None, None]
-
-    tri = mesh.triangles
-    rows = np.repeat(tri, 3, axis=1).ravel()
-    cols = np.tile(tri, (1, 3)).ravel()
-    m = sp.coo_matrix((local.ravel(), (rows, cols)),
-                      shape=(mesh.num_nodes, mesh.num_nodes))
-    return m.tocsr()
+    n = mesh.n
+    # |T| (1 + delta_ab) / 12
+    return grid_layout(n).assemble(
+        lambda s, a, b: (1.0 + (a == b)) / (24.0 * n * n))
 
 
 def boundary_load(mesh: TriMesh, mass: sp.spmatrix,
@@ -204,15 +352,16 @@ class PinnedFactor:
 class PinnedLU(PinnedFactor):
     """Sparse LU (SuperLU) of a stiffness K, any coefficient.
 
-    The last node of ``order`` is pinned and the others are factored in
-    that order with diagonal pivots.
+    The last node of ``order`` is pinned, and ``k`` is K on the others in
+    that order (``grid_layout(..., pinned=True)``), factored in that order
+    with diagonal pivots.
     """
 
-    def __init__(self, k: sp.spmatrix, order: np.ndarray,
+    def __init__(self, k: sp.csr_matrix, order: np.ndarray,
                  weights: np.ndarray):
         super().__init__(order[:-1], weights)
-        self._lu = spla.splu(k[self._free][:, self._free].tocsc(),
-                             permc_spec="NATURAL", diag_pivot_thresh=0.0,
+        # k is symmetric, so k.T is k in CSC form, without a copy
+        self._lu = spla.splu(k.T, permc_spec="NATURAL", diag_pivot_thresh=0.0,
                              options={"SymmetricMode": True})
         self.nnz = self._lu.nnz
         self._solve_free = self._lu.solve
@@ -253,7 +402,7 @@ class PinnedBandCholesky(PinnedFactor):
     """
 
     def __init__(self, a: SymMat, n: int):
-        _, weights, _ = _neumann_setup(n)
+        _, weights = _neumann_setup(n)
         super().__init__(slice(None, -1), weights)
         # elementwise, not a BLAS product: numpy's and scipy's OpenBLAS keep
         # separate thread pools, and numpy's threads left spinning stall the
@@ -275,14 +424,13 @@ class PinnedBandCholesky(PinnedFactor):
 
 @functools.lru_cache(maxsize=2)
 def _neumann_setup(n: int):
-    """Boundary mass, constraint weights and node order of the n-grid."""
+    """Boundary mass and constraint weights of the n-grid."""
     mesh = build_unit_square_mesh(n)
     mass = boundary_mass_matrix(mesh)
     c = np.zeros(mesh.num_nodes)
     c[mesh.boundary_loop] = mass @ np.ones(mesh.num_boundary_dofs)
-    order = nested_dissection(n + 1, n + 1)
-    c.flags.writeable = order.flags.writeable = False
-    return mass, c, order
+    c.flags.writeable = False
+    return mass, c
 
 
 class NeumannSolver:
@@ -300,9 +448,16 @@ class NeumannSolver:
                              f"(alpha = {field.alpha})")
         self.mesh = mesh
         self.field = field
-        self.boundary_mass, self._constraint, order = _neumann_setup(mesh.n)
-        self.stiffness = assemble_stiffness(mesh, field)
-        self._lu = PinnedLU(self.stiffness, order, self._constraint)
+        self.boundary_mass, self._constraint = _neumann_setup(mesh.n)
+        layout = grid_layout(mesh.n, pinned=True)
+        self._lu = PinnedLU(assemble_stiffness(mesh, field, layout),
+                            layout.order, self._constraint)
+
+    @functools.cached_property
+    def stiffness(self) -> sp.csr_matrix:
+        """The full stiffness matrix, assembled on first use: the
+        factorization reads only its pinned block."""
+        return assemble_stiffness(self.mesh, self.field)
 
     def _boundary_load(self, g: np.ndarray) -> np.ndarray:
         return boundary_load(self.mesh, self.boundary_mass, g)
@@ -373,16 +528,17 @@ class CorrectorSolver:
         for i, f in enumerate(self.loads):
             np.add.at(f, dofs, local[:, :, i].ravel())
 
-        k_full = assemble_stiffness(cell_mesh, field)
-        k_red = (self.reduction.T @ k_full @ self.reduction).tocsr()
+        layout = grid_layout(cell_mesh.n, periodic=True, pinned=True)
+        k = assemble_stiffness(cell_mesh, field, layout).copy()
+        # a diagonal coefficient's diagonal couplings are exact zeros;
+        # dropping them keeps them out of the factor's fill
+        k.eliminate_zeros()
 
         # zero cell average; weights = lumped mass
         w_full = np.zeros(cell_mesh.num_nodes)
         np.add.at(w_full, cell_mesh.triangles.ravel(),
                   np.repeat(areas / 3.0, 3))
-        n = cell_mesh.n
-        self._lu = PinnedLU(k_red, nested_dissection(n, n, periodic=True),
-                            self.reduction.T @ w_full)
+        self._lu = PinnedLU(k, layout.order, self.reduction.T @ w_full)
 
     def solve(self, p) -> CorrectorSolution:
         """Corrector of direction p, the solution for the load p . loads."""

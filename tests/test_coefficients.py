@@ -131,7 +131,7 @@ def test_mean_over_cell_rejects_checkerboard():
 
 
 def test_layered_field_varies_in_y_only():
-    field = layered_field(lambda y: 2.0 + np.cos(2.0 * np.pi * y), 1.0, 3.0)
+    field = layered_field(lambda y: 2.0 + np.cos(2.0 * np.pi * y), 1.0)
     pts = np.array([[0.1, 0.3], [0.9, 0.3]])
     mats = field(pts)
     assert np.abs(mats[0] - mats[1]).max() < 1e-14

@@ -25,7 +25,7 @@ def test_constant_field_is_fixed_point():
 
 
 def test_layered_field_mixes_means():
-    field = layered_field(lambda y: 2.0 + np.cos(2.0 * np.pi * y), 1.0, 3.0)
+    field = layered_field(lambda y: 2.0 + np.cos(2.0 * np.pi * y), 1.0)
     out = homogenized_matrix(build_periodic_cell_mesh(256), field)
     assert abs(out.a11 - 2.0) < 2e-3            # arithmetic mean across x
     assert abs(out.a22 - math.sqrt(3.0)) < 2e-3  # harmonic mean across y
@@ -88,7 +88,7 @@ def flux_integral(cell, field):
 
 @pytest.mark.parametrize("field", [
     periodic_smooth_field(),
-    layered_field(lambda y: 2.0 + np.cos(2.0 * np.pi * y), 1.0, 3.0),
+    layered_field(lambda y: 2.0 + np.cos(2.0 * np.pi * y), 1.0),
     constant_field(random_spd(np.random.default_rng(3)))],
     ids=["periodic", "layered", "constant"])
 def test_corrector_identity_matches_flux_integral(field):

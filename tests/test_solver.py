@@ -1,14 +1,15 @@
 import numpy as np
 import pytest
 
-from effdiff.coefficients import SymMat, constant_field, \
+import effdiff.solver as solver_module
+from effdiff.coefficients import CoefficientField, SymMat, constant_field, \
     periodic_smooth_field, sample_checkerboard, scale_epsilon
 from effdiff.mesh import boundary_mass_matrix, build_periodic_cell_mesh, \
     build_unit_square_mesh
 from effdiff.modes import affine_modes
 from effdiff.solver import CorrectorSolver, NeumannSolver, \
     assemble_stiffness, assemble_volume_mass, element_gradients, \
-    nested_dissection, triangle_geometry
+    grid_layout, nested_dissection, triangle_geometry, unit_stiffnesses
 
 
 def normal_trace_datum(mesh, direction):
@@ -180,13 +181,130 @@ def zero_mean_reference(k, weights, b):
 
 
 def test_stiffness_of_constant_field_matches_barycentric_assembly():
-    # a constant coefficient is assembled from the cached unit stiffnesses;
-    # an epsilon-scaled one takes the barycentric path
+    # the coarse surrogate's bands and gradients take a constant
+    # coefficient's stiffness as a combination of the unit stiffnesses
     mesh = build_unit_square_mesh(9)
     m = SymMat(3.0, -0.7, 2.0)
-    fast = assemble_stiffness(mesh, constant_field(m)).toarray()
+    k11, k12, k22 = unit_stiffnesses(9)
+    fast = (m.a11 * k11 + m.a12 * k12 + m.a22 * k22).toarray()
     slow = assemble_stiffness(mesh, scale_epsilon(constant_field(m), 0.3))
     assert np.abs(fast - slow.toarray()).max() <= 1e-12 * np.abs(fast).max()
+
+
+def random_triangle_field(n, seed):
+    """An SPD matrix per triangle of the n-grid, a12 != 0, looked up from
+    any point inside the triangle."""
+    rng = np.random.default_rng(seed)
+    lower = rng.standard_normal((2 * n * n, 2, 2))
+    values = lower @ lower.transpose(0, 2, 1) + 0.5 * np.eye(2)
+
+    def ev(points):
+        x, y = points[:, 0] * n, points[:, 1] * n
+        i, j = np.floor(x).astype(int), np.floor(y).astype(int)
+        upper = y - j > x - i
+        return values[i + j * n + upper * n * n]
+
+    return CoefficientField("random", ev, alpha=0.5)
+
+
+def reference_matrices(mesh, field):
+    """Dense stiffness and volume mass, triangle by triangle:
+    K_ab += |T| grad phi_a . A(barycenter) grad phi_b and
+    M_ab += |T| (1 + delta_ab) / 12."""
+    areas, grads, bary = triangle_geometry(mesh)
+    k = np.zeros((mesh.num_nodes, mesh.num_nodes))
+    m = np.zeros_like(k)
+    for tri, area, g, a in zip(mesh.triangles, areas, grads, field(bary)):
+        k[np.ix_(tri, tri)] += area * g @ a @ g.T
+        m[np.ix_(tri, tri)] += area * (1.0 + np.eye(3)) / 12.0
+    return k, m
+
+
+def factored_inputs(monkeypatch):
+    """The matrices handed to PinnedLU while the monkeypatch holds."""
+    inputs = []
+
+    class Recording(solver_module.PinnedLU):
+        def __init__(self, k, order, weights):
+            inputs.append(k)
+            super().__init__(k, order, weights)
+
+    monkeypatch.setattr(solver_module, "PinnedLU", Recording)
+    return inputs
+
+
+def test_barycenters_match_triangle_geometry_bit_for_bit():
+    # a barycenter on a checkerboard cell's edge (n = 5, eps = 1/3 has
+    # one) must fall in the same cell as before; at n = 10, 37 and 300
+    # another summation order of the vertices changes the last bit
+    for n in (1, 5, 10, 37, 300):
+        mesh = build_unit_square_mesh(n)
+        assert np.array_equal(solver_module._barycenters(n),
+                              triangle_geometry(mesh)[2])
+
+
+@pytest.mark.parametrize("n, periodic", [
+    (1, False), (2, False), (5, False), (16, False),
+    (2, True), (5, True), (16, True)])
+def test_assembly_matches_barycentric_reference(n, periodic, monkeypatch):
+    mesh = (build_periodic_cell_mesh if periodic
+            else build_unit_square_mesh)(n)
+    inputs = factored_inputs(monkeypatch)
+    fields = [random_triangle_field(n, n), sample_checkerboard(n, 0.3),
+              periodic_smooth_field() if periodic
+              else scale_epsilon(periodic_smooth_field(), 0.3)]
+    for field in fields:
+        k_ref, m_ref = reference_matrices(mesh, field)
+        k = assemble_stiffness(mesh, field)
+        assert np.abs(k.toarray() - k_ref).max() <= 1e-14 * np.abs(k_ref).max()
+        m = assemble_volume_mass(mesh).toarray()
+        assert np.abs(m - m_ref).max() <= 1e-14 * np.abs(m_ref).max()
+        if not periodic:
+            # the factored block is the full stiffness without its pinned
+            # node, in nested-dissection order, bit for bit
+            solver = NeumannSolver(mesh, field)
+            free = grid_layout(n, pinned=True).order[:-1]
+            assert np.array_equal(inputs.pop().toarray(),
+                                  solver.stiffness[free][:, free].toarray())
+            assert np.array_equal(solver.stiffness.toarray(), k.toarray())
+            continue
+        # the periodic block sums the images of each class
+        layout = grid_layout(n, periodic=True, pinned=True)
+        red = solver_module._periodic_reduction(mesh).toarray()
+        free = layout.order[:-1]
+        k_red = (red.T @ k_ref @ red)[np.ix_(free, free)]
+        k_free = assemble_stiffness(mesh, field, layout).toarray()
+        assert np.abs(k_free - k_red).max() <= 1e-14 * np.abs(k_red).max()
+        if field.kind == "periodic_analytic":
+            CorrectorSolver(mesh, field)
+            k_lu = inputs.pop()
+            assert np.array_equal(k_lu.toarray(), k_free)
+            assert np.all(k_lu.data != 0.0)
+
+
+def test_assembly_work_is_done_once_per_grid(monkeypatch):
+    # the layouts, orders and constraint are cached per grid size; a new
+    # coefficient costs its own evaluation and local entries alone
+    mesh = build_unit_square_mesh(12)
+    g = affine_modes(mesh).modes[0]
+    NeumannSolver(mesh, sample_checkerboard(1, 0.25))
+    assemble_volume_mass(mesh)
+    misses = grid_layout.cache_info().misses
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("assembly repeated work of the grid")
+
+    monkeypatch.setattr(solver_module, "triangle_geometry", forbidden)
+    monkeypatch.setattr(solver_module.sp, "coo_matrix", forbidden)
+    monkeypatch.setattr(solver_module, "nested_dissection", forbidden)
+    field = sample_checkerboard(2, 0.25)
+    solver = NeumannSolver(mesh, field)
+    m = assemble_volume_mass(mesh)
+    assert grid_layout.cache_info().misses == misses
+    # the matrices share the cached pattern, which no caller may change
+    assert not m.indices.flags.writeable and not m.indptr.flags.writeable
+    u = solver.solve(g)
+    assert np.all(np.isfinite(u))
 
 
 @pytest.mark.parametrize("n", [5, 16])
