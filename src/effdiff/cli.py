@@ -123,13 +123,18 @@ def _expect(cond: bool, message: str) -> None:
         raise SchemaError(message)
 
 
-# JSON numbers only: isinstance would also pass true and false
+# a JSON number that a float holds: isinstance would also pass true and
+# false, json reads Infinity and NaN, and an integer has no bound
+def _finite(v) -> bool:
+    return type(v) in (int, float) and abs(v) <= sys.float_info.max
+
+
 def _positive(v) -> bool:
-    return type(v) in (int, float) and v > 0
+    return _finite(v) and v > 0
 
 
 def _nonnegative(v) -> bool:
-    return type(v) in (int, float) and v >= 0
+    return _finite(v) and v >= 0
 
 
 def _int_from(lo: int):
@@ -167,13 +172,13 @@ KEYS = {
                                 for c in SWEEP_STRATEGIES)
         + tuple(f"{e} on periodic_smooth" for e in FIRST_EPSILON_EXPERIMENTS),
         f"one of {COEFFICIENTS} or {{'kind': 'constant', 'a11': a11, "
-        f"'a12': a12, 'a22': a22}} with numeric entries",
+        f"'a12': a12, 'a22': a22}} with finite entries",
         lambda v: v in COEFFICIENTS or isinstance(v, dict)
         and v.get("kind") == "constant" and set(v) == {"kind", *ENTRIES}
-        and all(type(v[k]) in (int, float) for k in ENTRIES),
+        and all(_finite(v[k]) for k in ENTRIES),
         _coefficient),
     "epsilons": (EXPERIMENTS[1:],   # every run but homogenize
-                 "a list of positive numbers", _list_of(_positive),
+                 "a list of finite positive numbers", _list_of(_positive),
                  lambda v: {"epsilons": [float(e) for e in v]}),
     "strategies": (SWEEPS, "a non-empty list",
                    lambda v: isinstance(v, list) and v),
@@ -181,18 +186,21 @@ KEYS = {
     "P": (SWEEPS + NOISE_STUDIES, "'auto' or a positive integer",
           lambda v: v == "auto" or _int_from(1)(v),
           lambda v: {"p": None if v == "auto" else v}),
-    "coarse_H": (SWEEPS + NOISE_STUDIES, "a positive number", _positive),
-    "r": (SWEEPS + FIRST_EPSILON_EXPERIMENTS, "a positive number", _positive),
+    "coarse_H": (SWEEPS + NOISE_STUDIES, "a finite positive number",
+                 _positive),
+    "r": (SWEEPS + FIRST_EPSILON_EXPERIMENTS, "a finite positive number",
+          _positive),
     "M1": (("identify on checkerboard", "sweep on checkerboard",
             "noise_coefficient"), "a positive integer", _int_from(1)),
     "M2": (("noise_measurement",), "an integer >= 2", _int_from(2)),
-    "sigmas": (("noise_measurement",), "a list of nonnegative numbers",
+    "sigmas": (("noise_measurement",), "a list of finite nonnegative numbers",
                _list_of(_nonnegative),
                lambda v: {"sigmas": [float(s) for s in v]}),
-    "sigma": (("noise_coefficient",), "a nonnegative number", _nonnegative),
+    "sigma": (("noise_coefficient",), "a finite nonnegative number",
+              _nonnegative),
     "cell_n": (("homogenize",), "an even integer >= 4",
                lambda v: _int_from(4)(v) and v % 2 == 0),
-    "grid": (("one_d_profile",), "[min, max, count] with 0 < min < max",
+    "grid": (("one_d_profile",), "[min, max, count] with 0 < min < max < inf",
              lambda g: _list_of(_positive)(g) and len(g) == 3
              and g[1] > g[0] and g[2] >= 2,
              lambda g: {"grid": [float(g[0]), float(g[1]), int(g[2])]}),
@@ -207,10 +215,10 @@ def reads(cfg: RunConfig, key: str) -> bool:
 
 
 def load_config(path: str) -> RunConfig:
-    with open(path) as f:
+    with open(path, encoding="utf-8") as f:
         try:
             doc = json.load(f)
-        except json.JSONDecodeError as exc:
+        except (json.JSONDecodeError, UnicodeDecodeError) as exc:
             raise SchemaError(f"config is not valid JSON: {exc}") from exc
     _expect(isinstance(doc, dict), "config root must be an object")
     _expect(doc.get("schema_version") == SCHEMA_VERSION,
@@ -386,6 +394,9 @@ def main(argv: list[str] | None = None) -> int:
     if not os.path.exists(args.config):
         print(f"error: config not found: {args.config}", file=sys.stderr)
         return EXIT_CONFIG_MISSING
+    if not os.path.isfile(args.config):
+        print(f"error: config is not a file: {args.config}", file=sys.stderr)
+        return EXIT_CONFIG_MISSING
     try:
         cfg = load_config(args.config)
     except SchemaError as exc:
@@ -419,7 +430,7 @@ def main(argv: list[str] | None = None) -> int:
 
     csv_path = os.path.join(out_dir, cfg.out_csv)
     json_path = os.path.join(out_dir, cfg.out_json)
-    with open(args.config) as f:
+    with open(args.config, encoding="utf-8") as f:
         config_doc = json.load(f)
     write_csv(records, csv_path)
     write_json(records, json_path, config=config_doc)

@@ -33,7 +33,6 @@ class TriMesh:
     boundary_edges: np.ndarray   # (4n, 2) node index pairs
     boundary_normals: np.ndarray  # (4n, 2) outward unit normals
     h: float
-    periodic_pairs: dict[int, int] | None = None
     dof_of_node: np.ndarray | None = field(default=None, repr=False)
 
     @property
@@ -117,18 +116,6 @@ def build_periodic_cell_mesh(n: int) -> TriMesh:
     if n < 2:
         raise ValueError(f"need n >= 2 for a periodic cell, got {n}")
     base = build_unit_square_mesh(n)
-
-    def idx(i, j):
-        return i + j * (n + 1)
-
-    pairs: dict[int, int] = {}
-    for j in range(n + 1):
-        pairs[idx(0, j)] = idx(n, j)
-        pairs[idx(n, j)] = idx(0, j)
-    for i in range(1, n):
-        pairs[idx(i, 0)] = idx(i, n)
-        pairs[idx(i, n)] = idx(i, 0)
-
     I, J = np.meshgrid(np.arange(n + 1), np.arange(n + 1), indexing="xy")
     dof = ((I % n) + (J % n) * n).ravel()
 
@@ -140,7 +127,6 @@ def build_periodic_cell_mesh(n: int) -> TriMesh:
         boundary_edges=base.boundary_edges,
         boundary_normals=base.boundary_normals,
         h=base.h,
-        periodic_pairs=pairs,
         dof_of_node=dof,
     )
 

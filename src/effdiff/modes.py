@@ -293,17 +293,15 @@ def affine_modes(mesh: TriMesh) -> ModeBasis:
     directions = [np.array([1.0, 0.0]), np.array([0.0, 1.0]),
                   np.array([0.5, 0.5])]
 
-    nb = mesh.num_boundary_dofs
     pts = mesh.nodes[mesh.boundary_loop]
     lengths = np.linalg.norm(np.roll(pts, -1, axis=0) - pts, axis=1)
 
     raw = []
     for e in directions:
         gn = mesh.boundary_normals @ e  # per boundary edge
-        rhs = np.zeros(nb)
         # edge k contributes (e.n) * len/2 to both endpoints (loop k, k+1)
-        np.add.at(rhs, np.arange(nb), gn * lengths / 2.0)
-        np.add.at(rhs, (np.arange(nb) + 1) % nb, gn * lengths / 2.0)
+        half = gn * lengths / 2.0
+        rhs = half + np.roll(half, 1)
         raw.append(np.linalg.solve(dense_mass, rhs))
 
     modes = []

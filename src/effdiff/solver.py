@@ -30,6 +30,14 @@ into a ``GridLayout``: every node in natural order, or the pinned block in
 nested-dissection order that ``PinnedLU`` factors, so no matrix is sliced
 before it is factored.
 
+The periodic corrector needs no geometry beyond the stiffness K of the
+cell's nodes.  The coordinate x_i is P1 with gradient e_i, so the load of
+the corrector in direction e_i is -K x_i, folded onto the n^2 periodic
+classes, and the cell mean sum_T |T| A is x^T K x; K's rows sum to zero,
+so both are formed from the offsets x_b - x_a of its stored entries.  The
+corrector has zero cell average, and every class has lumped mass 1/n^2,
+so its constraint weights are uniform.
+
 Work that does not depend on the coefficient is done once per grid size n,
 since the nodes and triangles of both mesh builders depend on n alone: the
 layouts with their elimination orders, the boundary mass and constraint,
@@ -50,27 +58,6 @@ from scipy.linalg import lapack
 from .coefficients import CoefficientField, SymMat
 from .mesh import CELL_TRIANGLES, TriMesh, boundary_mass_matrix, \
     build_unit_square_mesh
-
-
-def triangle_geometry(mesh: TriMesh):
-    """Areas, P1 shape gradients and barycenters for every triangle."""
-    p = mesh.nodes[mesh.triangles]  # (M, 3, 2)
-    v1 = p[:, 1] - p[:, 0]
-    v2 = p[:, 2] - p[:, 0]
-    areas = 0.5 * (v1[:, 0] * v2[:, 1] - v1[:, 1] * v2[:, 0])
-    if np.any(areas <= 0.0):
-        raise ValueError("mesh contains non-positively oriented triangles")
-
-    # grad phi_k = rot90(opposite edge) / (2 |T|)
-    grads = np.empty((p.shape[0], 3, 2))
-    for k in range(3):
-        a = p[:, (k + 1) % 3]
-        b = p[:, (k + 2) % 3]
-        grads[:, k, 0] = a[:, 1] - b[:, 1]
-        grads[:, k, 1] = b[:, 0] - a[:, 0]
-    grads /= (2.0 * areas)[:, None, None]
-    barycenters = p.mean(axis=1)
-    return areas, grads, barycenters
 
 
 # ---------------------------------------------------------------------------
@@ -147,9 +134,9 @@ class GridLayout:
         cells [j, i], or anything that broadcasts to it.
 
         The matrix shares the layout's index arrays, which are read-only:
-        copy it before changing its sparsity.  A copy per matrix, held
-        through a factorization, raised the peak RSS of six n = 300
-        realizations by 3 MB.
+        copy it before changing its sparsity, as ``PinnedLU`` does to drop
+        exact zeros.  A copy per matrix, held through a factorization,
+        raised the peak RSS of six n = 300 realizations by 3 MB.
         """
         n = self.n
         rows = np.zeros((n + 1, n + 1, len(_STENCIL)))
@@ -169,8 +156,9 @@ def grid_layout(n: int, periodic: bool = False,
     """Layout of the n-grid's matrices: every node in natural order, or the
     periodic classes (``periodic``), or either without its pinned unknown
     in nested-dissection order (``pinned``), the layout ``PinnedLU``
-    factors.  The sparsity is that of the triangulation, kept when an entry
-    is zero, so a matrix's stored pattern does not depend on its values."""
+    factors.  The layout keeps the triangulation's sparsity when an entry is
+    zero, so a matrix's stored pattern does not depend on its values;
+    ``PinnedLU`` drops the zeros from its own copy before it factors."""
     if not pinned:
         order = None
     elif periodic:
@@ -209,9 +197,10 @@ def grid_layout(n: int, periodic: bool = False,
 
 def _barycenters(n: int) -> np.ndarray:
     """Barycenters of the n-grid's triangles in mesh order, shape (2 n^2,
-    2).  The vertex coordinates are summed in vertex order, as the mean in
-    ``triangle_geometry`` sums them, so the two agree bit for bit and a
-    point on a checkerboard cell's edge falls in the same cell."""
+    2).  The vertex coordinates are summed in vertex order, as
+    ``mesh.nodes[mesh.triangles].mean(axis=1)`` sums them, so the two
+    agree bit for bit and a point on a checkerboard cell's edge falls in
+    the same cell."""
     xs = np.linspace(0.0, 1.0, n + 1)
     out = np.empty((2, n, n, 2))
     for s, ((i0, j0), (i1, j1), (i2, j2)) in enumerate(CELL_TRIANGLES):
@@ -273,12 +262,6 @@ def boundary_load(mesh: TriMesh, mass: sp.spmatrix,
     b = np.zeros((mesh.num_nodes,) + g.shape[1:])
     b[mesh.boundary_loop] = mass @ g
     return b
-
-
-def element_gradients(mesh: TriMesh, u: np.ndarray) -> np.ndarray:
-    """Per-triangle gradient of a P1 field, shape (M, 2)."""
-    _, grads, _ = triangle_geometry(mesh)
-    return np.einsum("tki,tk->ti", grads, u[mesh.triangles])
 
 
 # blocks this small are ordered row by row
@@ -360,6 +343,11 @@ class PinnedLU(PinnedFactor):
     def __init__(self, k: sp.csr_matrix, order: np.ndarray,
                  weights: np.ndarray):
         super().__init__(order[:-1], weights)
+        # a diagonal coefficient's diagonal couplings are stored as exact
+        # zeros; dropping them keeps them out of the fill (-5.9% at n = 300).
+        # The copy leaves the layout's read-only pattern alone.
+        k = k.copy()
+        k.eliminate_zeros()
         # k is symmetric, so k.T is k in CSC form, without a copy
         self._lu = spla.splu(k.T, permc_spec="NATURAL", diag_pivot_thresh=0.0,
                              options={"SymmetricMode": True})
@@ -481,27 +469,30 @@ class NeumannSolver:
         return -0.5 * float(g @ (self.boundary_mass @ self.trace(u)))
 
 
-@dataclass
-class CorrectorSolution:
-    values: np.ndarray   # nodal values on the full (n+1)^2 grid
-    reduced: np.ndarray  # values on the n^2 independent DOFs
-
-
-def _periodic_reduction(mesh: TriMesh) -> sp.csr_matrix:
-    ndof = mesh.num_periodic_dofs
-    rows = np.arange(mesh.num_nodes)
-    cols = mesh.dof_of_node
-    data = np.ones(mesh.num_nodes)
-    return sp.coo_matrix((data, (rows, cols)),
-                         shape=(mesh.num_nodes, ndof)).tocsr()
+def _corrector_loads(mesh: TriMesh, field: CoefficientField):
+    """Corrector loads on the periodic classes, shape (2, n^2), and cell
+    mean of A: -(K x_i)_a = -sum_b K_ab (d_ab)_i and x^T K x =
+    -1/2 sum_ab K_ab d_ab d_ab^T with d_ab = x_b - x_a.  ``K @ nodes``
+    would cancel the diagonal against its neighbours: it moved the
+    periodic field's a12 of A* from 2e-15 to 3.6e-13."""
+    k = assemble_stiffness(mesh, field).tocoo()
+    d = mesh.nodes[k.col] - mesh.nodes[k.row]
+    kd = k.data[:, None] * d
+    mean = -0.5 * np.einsum("ti,tj->ij", kd, d)
+    classes = mesh.dof_of_node[k.row]
+    loads = np.stack([np.bincount(classes, weights=-f,
+                                  minlength=mesh.num_periodic_dofs)
+                      for f in kd.T])
+    return loads, mean
 
 
 class CorrectorSolver:
     """Periodic cell solver sharing one factorization across directions.
 
-    ``loads[i]`` is the reduced load of the corrector in direction e_i,
-    -sum_T |T| grad phi . (A e_i), and ``mean_matrix`` the cell mean
-    sum_T |T| A, both in the one-point quadrature of the stiffness.
+    ``loads[i]`` is the load of the corrector in direction e_i on the n^2
+    periodic classes, -sum_T |T| grad phi . (A e_i), and ``mean_matrix``
+    the cell mean sum_T |T| A, both in the one-point quadrature of the
+    stiffness.  Correctors have zero cell average.
     """
 
     def __init__(self, cell_mesh: TriMesh, field: CoefficientField):
@@ -516,32 +507,16 @@ class CorrectorSolver:
                              f"(alpha = {field.alpha})")
         self.mesh = cell_mesh
         self.field = field
-        self.reduction = _periodic_reduction(cell_mesh)
+        # the natural stiffness and its offsets are freed before the factor
+        self.loads, self.mean_matrix = _corrector_loads(cell_mesh, field)
+        n = cell_mesh.n
+        layout = grid_layout(n, periodic=True, pinned=True)
+        self._lu = PinnedLU(assemble_stiffness(cell_mesh, field, layout),
+                            layout.order, np.ones(n * n))
 
-        areas, grads, bary = triangle_geometry(cell_mesh)
-        amat = field(bary)
-        self.mean_matrix = np.einsum("t,tij->ij", areas, amat)
-        # local[T, a, i] = -|T| grad phi_a . (A e_i)
-        local = -(grads @ amat) * areas[:, None, None]
-        dofs = cell_mesh.dof_of_node[cell_mesh.triangles].ravel()
-        self.loads = np.zeros((2, cell_mesh.num_periodic_dofs))
-        for i, f in enumerate(self.loads):
-            np.add.at(f, dofs, local[:, :, i].ravel())
-
-        layout = grid_layout(cell_mesh.n, periodic=True, pinned=True)
-        k = assemble_stiffness(cell_mesh, field, layout).copy()
-        # a diagonal coefficient's diagonal couplings are exact zeros;
-        # dropping them keeps them out of the factor's fill
-        k.eliminate_zeros()
-
-        # zero cell average; weights = lumped mass
-        w_full = np.zeros(cell_mesh.num_nodes)
-        np.add.at(w_full, cell_mesh.triangles.ravel(),
-                  np.repeat(areas / 3.0, 3))
-        self._lu = PinnedLU(k, layout.order, self.reduction.T @ w_full)
-
-    def solve(self, p) -> CorrectorSolution:
-        """Corrector of direction p, the solution for the load p . loads."""
-        reduced = self._lu.solve(np.asarray(p, dtype=float) @ self.loads)
-        return CorrectorSolution(values=self.reduction @ reduced,
-                                 reduced=reduced)
+    def solve(self, p) -> np.ndarray:
+        """Class values of the corrector of direction p, the solution for
+        the load p . loads: shape (n^2,) for p of shape (2,), or (k, n^2)
+        for k directions of shape (k, 2), solved at once.  Node v has the
+        value of class ``mesh.dof_of_node[v]``."""
+        return self._lu.solve((np.asarray(p, dtype=float) @ self.loads).T).T

@@ -54,3 +54,31 @@ def random_spd(rng: np.random.Generator, lo: float = 2.0,
         evs = m.eigenvalues()
         if evs[0] > lo and evs[1] < hi:
             return m
+
+
+def triangle_geometry(mesh):
+    """Areas, P1 shape gradients and barycenters of every triangle, from
+    the vertex coordinates: the reference the grid assembly is tested
+    against."""
+    p = mesh.nodes[mesh.triangles]  # (M, 3, 2)
+    v1 = p[:, 1] - p[:, 0]
+    v2 = p[:, 2] - p[:, 0]
+    areas = 0.5 * (v1[:, 0] * v2[:, 1] - v1[:, 1] * v2[:, 0])
+    assert np.all(areas > 0.0), "mesh has non-positively oriented triangles"
+
+    # grad phi_k = rot90(opposite edge) / (2 |T|)
+    grads = np.empty((p.shape[0], 3, 2))
+    for k in range(3):
+        a = p[:, (k + 1) % 3]
+        b = p[:, (k + 2) % 3]
+        grads[:, k, 0] = a[:, 1] - b[:, 1]
+        grads[:, k, 1] = b[:, 0] - a[:, 0]
+    grads /= (2.0 * areas)[:, None, None]
+    barycenters = p.mean(axis=1)
+    return areas, grads, barycenters
+
+
+def element_gradients(mesh, u):
+    """Per-triangle gradient of a P1 field, shape (M, 2)."""
+    _, grads, _ = triangle_geometry(mesh)
+    return np.einsum("tki,tk->ti", grads, u[mesh.triangles])

@@ -1,6 +1,7 @@
 import csv
 import glob
 import json
+import math
 import os
 import runpy
 
@@ -35,6 +36,18 @@ def test_missing_config_file(tmp_path, capsys):
     assert "not found" in capsys.readouterr().err
 
 
+def test_config_path_is_a_directory(tmp_path, capsys):
+    assert main([str(tmp_path)]) == EXIT_CONFIG_MISSING
+    assert "not a file" in capsys.readouterr().err
+
+
+def test_config_file_not_utf8(tmp_path, capsys):
+    path = tmp_path / "utf16.json"
+    path.write_bytes(b"\xff\xfe" + json.dumps(base_doc()).encode("utf-16-le"))
+    assert main([str(path), "--validate"]) == EXIT_SCHEMA
+    assert "invalid config" in capsys.readouterr().err
+
+
 def test_schema_violations(tmp_path, capsys):
     cases = [
         {"schema_version": 2, "experiment": "sweep"},
@@ -59,6 +72,22 @@ def test_schema_violations(tmp_path, capsys):
         {"schema_version": 1, "experiment": "sweep", "r": True},
         {"schema_version": 1, "experiment": "sweep", "epsilons": []},
         base_doc(epsilons=[]),
+        # Python's json reads Infinity; every number must be finite
+        {"schema_version": 1, "experiment": "sweep", "epsilons": [0.2],
+         "r": math.inf},
+        {"schema_version": 1, "experiment": "sweep", "epsilons": [0.2],
+         "coarse_H": math.inf},
+        {"schema_version": 1, "experiment": "noise_coefficient",
+         "sigma": math.inf},
+        {"schema_version": 1, "experiment": "noise_measurement",
+         "sigmas": [0.01, math.inf]},
+        base_doc(epsilons=[math.inf]),
+        base_doc(epsilons=[math.nan]),
+        base_doc(grid=[1.0, math.inf, 100]),
+        base_doc(grid=[1.0, 3.0, 10 ** 400]),
+        {"schema_version": 1, "experiment": "homogenize",
+         "coefficient": {"kind": "constant", "a11": math.inf, "a12": 0.0,
+                         "a22": 1.0}},
     ]
     for doc in cases:
         code = main([write_config(tmp_path, doc)])

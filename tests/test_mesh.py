@@ -9,7 +9,8 @@ from effdiff.mesh import boundary_arclength, boundary_mass_matrix, \
     boundary_perimeter, build_periodic_cell_mesh, build_unit_square_mesh, \
     interpolate_boundary, interpolate_nodal, interpolation_matrix, \
     zero_mean_project
-from effdiff.solver import triangle_geometry
+
+from conftest import triangle_geometry
 
 
 def test_smallest_mesh_counts():
@@ -80,15 +81,17 @@ def test_periodic_cell_counts():
 
 def test_periodic_pairs_structure():
     mesh = build_periodic_cell_mesh(5)
-    for a, b in mesh.periodic_pairs.items():
-        assert mesh.periodic_pairs[b] == a  # involution
-        pa, pb = mesh.nodes[a], mesh.nodes[b]
-        # pairs differ by a full period in exactly one coordinate
-        diff = np.abs(pa - pb)
-        assert sorted(np.round(diff, 12)) == [0.0, 1.0]
-    # identified nodes share a DOF
-    for a, b in mesh.periodic_pairs.items():
-        assert mesh.dof_of_node[a] == mesh.dof_of_node[b]
+    n = mesh.n
+    assert np.array_equal(np.unique(mesh.dof_of_node), np.arange(n * n))
+    for dof in range(n * n):
+        nodes = mesh.nodes[mesh.dof_of_node == dof]
+        # a node of [0, 1)^2 and its images on the faces x = 1 and y = 1
+        assert len(nodes) == (1 + (nodes[0, 0] == 0.0)) * (
+            1 + (nodes[0, 1] == 0.0))
+        # nodes that share a class differ by whole periods
+        diff = nodes - nodes[0]
+        assert np.abs(diff - np.round(diff)).max() < 1e-12
+        assert np.all(np.isin(np.round(diff), (0.0, 1.0)))
 
 
 def test_periodic_cell_rejects_tiny():
