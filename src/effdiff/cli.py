@@ -72,7 +72,7 @@ class RunConfig:
     sigmas: list = field(default_factory=lambda: [0.01, 0.05, 0.1])
     sigma: float = 2.0
     base_seed: int = 0
-    cell_n: int = 256        # A* extrapolated from cells cell_n / 2, cell_n
+    cell_n: int = 128        # A* from cells cell_n / 4, cell_n / 2, cell_n
     profile: str = "desk"
     out_csv: str = "results.csv"
     out_json: str = "results.json"
@@ -198,8 +198,8 @@ KEYS = {
                lambda v: {"sigmas": [float(s) for s in v]}),
     "sigma": (("noise_coefficient",), "a finite nonnegative number",
               _nonnegative),
-    "cell_n": (("homogenize",), "an even integer >= 4",
-               lambda v: _int_from(4)(v) and v % 2 == 0),
+    "cell_n": (("homogenize",), "a multiple of 4, >= 8",
+               lambda v: _int_from(8)(v) and v % 4 == 0),
     "grid": (("one_d_profile",), "[min, max, count] with 0 < min < max < inf",
              lambda g: _list_of(_positive)(g) and len(g) == 3
              and g[1] > g[0] and g[2] >= 2,
@@ -282,7 +282,8 @@ def resolve_report(cfg: RunConfig) -> list[str]:
     if reads(cfg, "cell_n"):
         cell_n = cfg.homogenize_cell_n()
         lines.append(f"cell_n: {cell_n}" + (
-            f" (A* extrapolated from cells {cell_n // 2} and {cell_n})"
+            f" (A* extrapolated from cells {cell_n // 4}, {cell_n // 2} "
+            f"and {cell_n})"
             if cfg.coefficient == "periodic_smooth" else ""))
     if reads(cfg, "grid"):
         lines.append(f"grid: {cfg.grid}")
@@ -290,15 +291,22 @@ def resolve_report(cfg: RunConfig) -> list[str]:
 
 
 def dof_cap_error(cfg: RunConfig) -> str | None:
-    """Why the run exceeds the desk profile's fine-mesh cap, if it does."""
-    if cfg.profile != "desk" or not reads(cfg, "r"):
+    """Why the run exceeds the desk profile's node cap on a fine or coarse
+    mesh, if it does.  Raises ValueError, in any profile, for a mesh whose
+    subdivisions no float holds."""
+    meshes = [("fine", f"eps = {eps}, r = {cfg.resolved_r()}", "Reduce r",
+               cfg.fine_n(eps))
+              for eps in (cfg.run_epsilons() if reads(cfg, "r") else ())]
+    if reads(cfg, "coarse_H"):
+        meshes.append(("coarse", f"coarse_H = {cfg.coarse_h}",
+                       "Raise coarse_H", coarse_mesh_n(cfg.coarse_h)))
+    if cfg.profile != "desk":
         return None
-    for eps in cfg.run_epsilons():
-        dofs = (cfg.fine_n(eps) + 1) ** 2
-        if dofs > DESK_DOF_CAP:
-            return (f"desk profile caps fine-mesh nodes at {DESK_DOF_CAP}; "
-                    f"eps = {eps}, r = {cfg.resolved_r()} needs {dofs}. "
-                    f"Reduce r or use --profile full.")
+    for mesh, setting, remedy, n in meshes:
+        if (n + 1) ** 2 > DESK_DOF_CAP:
+            return (f"desk profile caps {mesh}-mesh nodes at {DESK_DOF_CAP}; "
+                    f"{setting} needs {(n + 1) ** 2}. "
+                    f"{remedy} or use --profile full.")
     return None
 
 
@@ -410,7 +418,12 @@ def main(argv: list[str] | None = None) -> int:
     if args.workers:
         cfg.workers = args.workers
 
-    if cap_error := dof_cap_error(cfg):
+    try:
+        cap_error = dof_cap_error(cfg)
+    except ValueError as exc:    # a mesh size that no float count holds
+        print(f"error: invalid config: {exc}", file=sys.stderr)
+        return EXIT_SCHEMA
+    if cap_error:
         print(f"error: {cap_error}", file=sys.stderr)
         return EXIT_DOF_CAP
 

@@ -34,9 +34,10 @@ The periodic corrector needs no geometry beyond the stiffness K of the
 cell's nodes.  The coordinate x_i is P1 with gradient e_i, so the load of
 the corrector in direction e_i is -K x_i, folded onto the n^2 periodic
 classes, and the cell mean sum_T |T| A is x^T K x; K's rows sum to zero,
-so both are formed from the offsets x_b - x_a of its stored entries.  The
-corrector has zero cell average, and every class has lumped mass 1/n^2,
-so its constraint weights are uniform.
+so both are formed from the stencil offsets x_b - x_a of K's stencil rows,
+the same rows that are scattered into the periodic block.  The corrector
+has zero cell average, and every class has lumped mass 1/n^2, so its
+constraint weights are uniform.
 
 Work that does not depend on the coefficient is done once per grid size n,
 since the nodes and triangles of both mesh builders depend on n alone: the
@@ -114,7 +115,6 @@ class GridLayout:
     Couplings that land on one entry (the periodic images) are summed.
     """
 
-    n: int
     order: np.ndarray | None
     slot: np.ndarray
     indices: np.ndarray
@@ -128,26 +128,32 @@ class GridLayout:
     def nnz(self) -> int:
         return self.indices.shape[0]
 
-    def assemble(self, entry) -> sp.csr_matrix:
-        """The matrix of the local matrices whose entry (a, b) on the
-        triangles of shape s is ``entry(s, a, b)``: an array (n, n) over the
-        cells [j, i], or anything that broadcasts to it.
+    def assemble(self, rows: np.ndarray) -> sp.csr_matrix:
+        """The matrix of the stencil rows ``rows`` (from ``_stencil_rows``).
 
         The matrix shares the layout's index arrays, which are read-only:
         copy it before changing its sparsity, as ``PinnedLU`` does to drop
         exact zeros.  A copy per matrix, held through a factorization,
         raised the peak RSS of six n = 300 realizations by 3 MB.
         """
-        n = self.n
-        rows = np.zeros((n + 1, n + 1, len(_STENCIL)))
-        for s, a, b, targets in _LOCAL_TERMS:
-            value = entry(s, a, b)
-            for di, dj, k in targets:
-                rows[dj:dj + n, di:di + n, k] += value
         data = np.bincount(self.slot, weights=rows.ravel(),
                            minlength=self.nnz + 1)[:-1]
         return sp.csr_matrix((data, self.indices, self.indptr),
                              shape=self.shape)
+
+
+def _stencil_rows(n: int, entry) -> np.ndarray:
+    """Stencil rows, shape (n + 1, n + 1, 7), of the local matrices whose
+    entry (a, b) on the triangles of shape s is ``entry(s, a, b)``: an
+    array (n, n) over the cells [j, i], or anything that broadcasts to it.
+    ``rows[j, i, k]`` couples node (i, j) to (i, j) + _STENCIL[k], and is
+    zero where that neighbour is outside the grid."""
+    rows = np.zeros((n + 1, n + 1, len(_STENCIL)))
+    for s, a, b, targets in _LOCAL_TERMS:
+        value = entry(s, a, b)
+        for di, dj, k in targets:
+            rows[dj:dj + n, di:di + n, k] += value
+    return rows
 
 
 @functools.lru_cache(maxsize=4)
@@ -186,7 +192,7 @@ def grid_layout(n: int, periodic: bool = False,
     slot = np.full(kept.size, keys.shape[0], dtype=np.int32)
     slot[kept.ravel()] = inverse
     layout = GridLayout(
-        n=n, order=order, slot=slot, indices=(keys % size).astype(np.int32),
+        order=order, slot=slot, indices=(keys % size).astype(np.int32),
         indptr=np.searchsorted(keys, np.arange(size + 1) * size).astype(
             np.int32))
     for a in (order, slot, layout.indices, layout.indptr):
@@ -231,28 +237,34 @@ def unit_stiffnesses(n: int) -> tuple[sp.csr_matrix, ...]:
     """Stiffnesses K11, K12, K22 of the coefficients E11, E12 + E21 and E22
     on the n-grid; a constant A has a11 K11 + a12 K12 + a22 K22."""
     ones, zeros = np.ones((2, 1, 1)), np.zeros((2, 1, 1))
-    return tuple(grid_layout(n).assemble(_stiffness_entries(*unit))
+    layout = grid_layout(n)
+    return tuple(layout.assemble(_stencil_rows(n, _stiffness_entries(*unit)))
                  for unit in ((ones, zeros, zeros), (zeros, ones, zeros),
                               (zeros, zeros, ones)))
+
+
+def _stiffness_rows(n: int, field: CoefficientField) -> np.ndarray:
+    """Stencil rows of the n-grid's stiffness, the coefficient sampled at
+    barycenters."""
+    a = field(_barycenters(n)).reshape(2, n, n, 2, 2)
+    return _stencil_rows(n, _stiffness_entries(a[..., 0, 0], a[..., 0, 1],
+                                               a[..., 1, 1]))
 
 
 def assemble_stiffness(mesh: TriMesh, field: CoefficientField,
                        layout: GridLayout | None = None) -> sp.csr_matrix:
     """Stiffness matrix with the coefficient sampled at barycenters, in
     ``layout`` (default: every node of the mesh, natural order)."""
-    n = mesh.n
-    a = field(_barycenters(n)).reshape(2, n, n, 2, 2)
-    layout = grid_layout(n) if layout is None else layout
-    return layout.assemble(_stiffness_entries(a[..., 0, 0], a[..., 0, 1],
-                                              a[..., 1, 1]))
+    layout = grid_layout(mesh.n) if layout is None else layout
+    return layout.assemble(_stiffness_rows(mesh.n, field))
 
 
 def assemble_volume_mass(mesh: TriMesh) -> sp.csr_matrix:
     """Consistent P1 mass matrix of L^2((0,1)^2)."""
     n = mesh.n
     # |T| (1 + delta_ab) / 12
-    return grid_layout(n).assemble(
-        lambda s, a, b: (1.0 + (a == b)) / (24.0 * n * n))
+    return grid_layout(n).assemble(_stencil_rows(
+        n, lambda s, a, b: (1.0 + (a == b)) / (24.0 * n * n)))
 
 
 def boundary_load(mesh: TriMesh, mass: sp.spmatrix,
@@ -469,21 +481,22 @@ class NeumannSolver:
         return -0.5 * float(g @ (self.boundary_mass @ self.trace(u)))
 
 
-def _corrector_loads(mesh: TriMesh, field: CoefficientField):
+def _corrector_loads(rows: np.ndarray):
     """Corrector loads on the periodic classes, shape (2, n^2), and cell
-    mean of A: -(K x_i)_a = -sum_b K_ab (d_ab)_i and x^T K x =
-    -1/2 sum_ab K_ab d_ab d_ab^T with d_ab = x_b - x_a.  ``K @ nodes``
-    would cancel the diagonal against its neighbours: it moved the
-    periodic field's a12 of A* from 2e-15 to 3.6e-13."""
-    k = assemble_stiffness(mesh, field).tocoo()
-    d = mesh.nodes[k.col] - mesh.nodes[k.row]
-    kd = k.data[:, None] * d
-    mean = -0.5 * np.einsum("ti,tj->ij", kd, d)
-    classes = mesh.dof_of_node[k.row]
-    loads = np.stack([np.bincount(classes, weights=-f,
-                                  minlength=mesh.num_periodic_dofs)
-                      for f in kd.T])
-    return loads, mean
+    mean of A, from the stencil rows of the cell's stiffness K: with
+    d_k = _STENCIL[k] / n the offset x_b - x_a of node a's k-th neighbour
+    b, -(K x_i)_a = -sum_k rows[a, k] (d_k)_i, folded onto the class
+    (i mod n, j mod n) of node (i, j), and x^T K x = -1/2 sum_a,k
+    rows[a, k] d_k d_k^T.  ``K @ nodes`` would cancel the diagonal against
+    its neighbours: it moved the periodic field's a12 of A* from 2e-15 to
+    3.6e-13."""
+    n = rows.shape[0] - 1
+    d = np.array(_STENCIL, dtype=float) / n
+    f = -np.einsum("jik,kl->lji", rows, d)
+    f[:, :, 0] += f[:, :, n]
+    f[:, 0] += f[:, n]
+    mean = -0.5 * np.einsum("k,ki,kj->ij", rows.sum(axis=(0, 1)), d, d)
+    return f[:, :n, :n].reshape(2, n * n), mean
 
 
 class CorrectorSolver:
@@ -507,12 +520,12 @@ class CorrectorSolver:
                              f"(alpha = {field.alpha})")
         self.mesh = cell_mesh
         self.field = field
-        # the natural stiffness and its offsets are freed before the factor
-        self.loads, self.mean_matrix = _corrector_loads(cell_mesh, field)
         n = cell_mesh.n
+        rows = _stiffness_rows(n, field)
+        self.loads, self.mean_matrix = _corrector_loads(rows)
         layout = grid_layout(n, periodic=True, pinned=True)
-        self._lu = PinnedLU(assemble_stiffness(cell_mesh, field, layout),
-                            layout.order, np.ones(n * n))
+        self._lu = PinnedLU(layout.assemble(rows), layout.order,
+                            np.ones(n * n))
 
     def solve(self, p) -> np.ndarray:
         """Class values of the corrector of direction p, the solution for

@@ -88,6 +88,13 @@ def test_schema_violations(tmp_path, capsys):
         {"schema_version": 1, "experiment": "homogenize",
          "coefficient": {"kind": "constant", "a11": math.inf, "a12": 0.0,
                          "a22": 1.0}},
+        # finite, but sqrt(2) r / eps overflows, in either profile
+        {"schema_version": 1, "experiment": "sweep", "epsilons": [0.2],
+         "r": 1e308},
+        {"schema_version": 1, "experiment": "sweep", "epsilons": [0.2],
+         "r": 1e308, "profile": "full"},
+        {"schema_version": 1, "experiment": "noise_measurement",
+         "epsilons": [1e-308]},
     ]
     for doc in cases:
         code = main([write_config(tmp_path, doc)])
@@ -103,6 +110,18 @@ def test_dof_cap_exceeded(tmp_path, capsys):
            "epsilons": [0.001], "r": 2000, "Q": 11}
     assert main([write_config(tmp_path, doc)]) == EXIT_DOF_CAP
     assert "caps fine-mesh nodes" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("coarse_h", [1e-300, 0.0005])
+def test_dof_cap_covers_the_coarse_mesh(tmp_path, capsys, coarse_h):
+    # (ceil(sqrt(2) / 0.0005) + 1)^2 = 8,008,900 nodes
+    doc = {"schema_version": 1, "experiment": "sweep", "epsilons": [0.2],
+           "coarse_H": coarse_h}
+    assert main([write_config(tmp_path, doc), "--validate"]) == EXIT_DOF_CAP
+    err = capsys.readouterr().err
+    assert "caps coarse-mesh nodes" in err and "Raise coarse_H" in err
+    doc["profile"] = "full"
+    assert main([write_config(tmp_path, doc), "--validate"]) == EXIT_OK
 
 
 def test_validate_reports_resolution(tmp_path, capsys):
@@ -299,18 +318,18 @@ def test_homogenize_records_the_cell_it_solved(tmp_path, coefficient, cell_n,
     assert [rec["cell_n"] for rec in recs] == [solved]
 
 
-@pytest.mark.parametrize("cell_n", [2, 3, 255])
-def test_cell_n_must_be_even(tmp_path, capsys, cell_n):
-    # A* is extrapolated from cells cell_n / 2 and cell_n
+@pytest.mark.parametrize("cell_n", [2, 3, 4, 6, 254, 255])
+def test_cell_n_must_be_multiple_of_four(tmp_path, capsys, cell_n):
+    # A* is extrapolated from cells cell_n / 4, cell_n / 2 and cell_n
     doc = {"schema_version": 1, "experiment": "homogenize", "cell_n": cell_n}
     assert main([write_config(tmp_path, doc), "--validate"]) == EXIT_SCHEMA
-    assert "'cell_n'" in capsys.readouterr().err
+    assert "'cell_n' must be a multiple of 4, >= 8" in capsys.readouterr().err
 
 
 def test_validate_homogenize_reports_both_cells(tmp_path, capsys):
     doc = {"schema_version": 1, "experiment": "homogenize"}
     assert main([write_config(tmp_path, doc), "--validate"]) == EXIT_OK
-    assert "cell_n: 256 (A* extrapolated from cells 128 and 256)" \
+    assert "cell_n: 128 (A* extrapolated from cells 32, 64 and 128)" \
         in capsys.readouterr().out
 
 
