@@ -7,12 +7,14 @@ table, ``KEYS``, gives each config key its check and the runs that read it;
 a key that is unknown or that the run does not read is a schema violation.
 
 Exit codes: 0 success, 2 config file missing, 3 schema violation,
-4 mesh-size cap exceeded, 1 any other runtime failure.
+4 mesh-size cap exceeded (the desk profile's, or in any profile the int32
+grid indices'), 1 any other runtime failure.
 """
 
 from __future__ import annotations
 
 import argparse
+import decimal
 import json
 import os
 import sys
@@ -24,12 +26,13 @@ import numpy as np
 from .coefficients import SymMat, constant_field, periodic_smooth_field, \
     scale_epsilon
 from .experiments import CHECKERBOARD_STRATEGIES, DEFAULT_COARSE_H, \
-    ME_MS_CHECK_MAX_N, STRATEGIES, coarse_mesh_n, coefficient_noise_study, \
-    fine_n, measurement_noise_study, one_d_profile, periodic_reference, \
-    record, resolve_p, sweep, write_csv, write_json
+    DEFAULT_R, ME_MS_CHECK_MAX_N, STRATEGIES, coarse_mesh_n, \
+    coefficient_noise_study, fine_n, measurement_noise_study, one_d_profile, \
+    periodic_reference, record, resolve_p, sweep, write_csv, write_json
 from .homogenization import checkerboard_exact, homogenized_matrix
 from .identify import me_ms_identity_check
 from .mesh import build_periodic_cell_mesh, build_unit_square_mesh
+from .solver import MAX_GRID_NODES
 
 SCHEMA_VERSION = 1
 OUTPUT_ENV_VAR = "EFFDIFF_OUT_DIR"
@@ -82,9 +85,8 @@ class RunConfig:
     def resolved_r(self) -> float:
         if self.r:
             return self.r
-        if self.coefficient == "checkerboard":
-            return 20.0 if self.profile == "full" else 10.0
-        return 40.0 if self.profile == "full" else 20.0
+        r = DEFAULT_R[self.coefficient]
+        return 2.0 * r if self.profile == "full" else r
 
     def resolved_m1(self) -> int:
         return self.m1 or (40 if self.profile == "full" else 10)
@@ -290,23 +292,38 @@ def resolve_report(cfg: RunConfig) -> list[str]:
     return lines
 
 
+def _count(nodes: int) -> str:
+    """A node count: in full up to ``MAX_GRID_NODES``, to four significant
+    digits beyond it (as a Decimal, since no float holds every count)."""
+    return str(nodes) if nodes <= MAX_GRID_NODES \
+        else format(decimal.Decimal(nodes), ".3e")
+
+
 def dof_cap_error(cfg: RunConfig) -> str | None:
-    """Why the run exceeds the desk profile's node cap on a fine or coarse
-    mesh, if it does.  Raises ValueError, in any profile, for a mesh whose
-    subdivisions no float holds."""
+    """Why the run exceeds a node cap on a fine, coarse or corrector-cell
+    mesh, if it does: the desk profile's, or in any profile the most nodes
+    a grid's int32 indices hold.  Raises ValueError, in any profile, for a
+    mesh whose subdivisions no float holds."""
     meshes = [("fine", f"eps = {eps}, r = {cfg.resolved_r()}", "Reduce r",
                cfg.fine_n(eps))
               for eps in (cfg.run_epsilons() if reads(cfg, "r") else ())]
     if reads(cfg, "coarse_H"):
         meshes.append(("coarse", f"coarse_H = {cfg.coarse_h}",
                        "Raise coarse_H", coarse_mesh_n(cfg.coarse_h)))
-    if cfg.profile != "desk":
-        return None
+    cell_n = cfg.homogenize_cell_n() if reads(cfg, "cell_n") else None
+    if cell_n:
+        meshes.append(("cell", f"cell_n = {cfg.cell_n}", "Reduce cell_n",
+                       cell_n))
     for mesh, setting, remedy, n in meshes:
-        if (n + 1) ** 2 > DESK_DOF_CAP:
+        nodes = (n + 1) ** 2
+        if cfg.profile == "desk" and nodes > DESK_DOF_CAP:
             return (f"desk profile caps {mesh}-mesh nodes at {DESK_DOF_CAP}; "
-                    f"{setting} needs {(n + 1) ** 2}. "
+                    f"{setting} needs {_count(nodes)}. "
                     f"{remedy} or use --profile full.")
+        if nodes > MAX_GRID_NODES:
+            return (f"int32 grid indices cap {mesh}-mesh nodes at "
+                    f"{MAX_GRID_NODES}; {setting} needs {_count(nodes)}. "
+                    f"{remedy}.")
     return None
 
 

@@ -41,6 +41,9 @@ STRATEGIES = ("ME", "MS", "MV", "A_star", "ME-affine")
 CHECKERBOARD_STRATEGIES = ("ME", "MS", "A_star")
 
 DEFAULT_COARSE_H = 0.05
+# the fine-mesh resolution r = eps / h of a run on each coefficient (the
+# full profile of the CLI doubles it)
+DEFAULT_R = {"periodic_smooth": 20.0, "checkerboard": 10.0}
 ME_MS_CHECK_MAX_N = 128
 
 
@@ -284,8 +287,9 @@ def _identify_record(experiment: str, strategy: str, eps: float,
                   **_descent_fields(trace))
 
 
-def identify_periodic(eps: float, r: float = 20.0, p: int | None = None,
-                      q: int = 11, coarse_h: float = DEFAULT_COARSE_H,
+def identify_periodic(eps: float, r: float = DEFAULT_R["periodic_smooth"],
+                      p: int | None = None, q: int = 11,
+                      coarse_h: float = DEFAULT_COARSE_H,
                       strategy: str = "ME", a_star: SymMat | None = None,
                       compute_err_eps_q: bool = True,
                       meas_cache: dict | None = None) -> dict:
@@ -342,8 +346,9 @@ def checkerboard_mean(eps: float, q: int, r: float, m1: int,
                         mesh=fine)
 
 
-def identify_checkerboard(eps: float, r: float = 10.0, p: int | None = None,
-                          q: int = 11, m1: int = 10, base_seed: int = 0,
+def identify_checkerboard(eps: float, r: float = DEFAULT_R["checkerboard"],
+                          p: int | None = None, q: int = 11, m1: int = 10,
+                          base_seed: int = 0,
                           coarse_h: float = DEFAULT_COARSE_H,
                           strategy: str = "ME",
                           compute_err_eps_q: bool = True,
@@ -392,7 +397,8 @@ def _noise_setup(experiment: str, eps: float, r: float, p: int | None,
         rel_coeff_error=0.0)]
 
 
-def measurement_noise_study(eps: float = 0.05, r: float = 20.0,
+def measurement_noise_study(eps: float = 0.05,
+                            r: float = DEFAULT_R["periodic_smooth"],
                             p: int | None = None,
                             sigmas: Sequence[float] = (0.01, 0.05, 0.1),
                             draws: int = 40, base_seed: int = 0,
@@ -421,7 +427,8 @@ def measurement_noise_study(eps: float = 0.05, r: float = 20.0,
     return records
 
 
-def coefficient_noise_study(eps: float = 0.05, r: float = 20.0,
+def coefficient_noise_study(eps: float = 0.05,
+                            r: float = DEFAULT_R["periodic_smooth"],
                             p: int | None = None, sigma: float = 2.0,
                             m1: int = 10, base_seed: int = 0,
                             coarse_h: float = DEFAULT_COARSE_H) -> list[dict]:
@@ -445,15 +452,17 @@ def coefficient_noise_study(eps: float = 0.05, r: float = 20.0,
 # sweep and serialization
 
 def sweep(epsilons: Sequence[float], strategies: Sequence[str] = ("ME",),
-          coefficient: str = "periodic_smooth", r: float = 20.0,
+          coefficient: str = "periodic_smooth", r: float | None = None,
           p: int | None = None, q: int = 11,
           coarse_h: float = DEFAULT_COARSE_H, m1: int = 10,
           base_seed: int = 0, workers: int = 1) -> list[dict]:
-    """Identification records over an epsilon grid and strategy list.
+    """Identification records over an epsilon grid and strategy list, at
+    resolution ``r`` (default: the coefficient's ``DEFAULT_R``).
 
     Per-record failures are recorded (with an ``error`` field) and the
     sweep continues; record order is deterministic.
     """
+    r = DEFAULT_R.get(coefficient) if r is None else r
     a_star = periodic_reference() if coefficient == "periodic_smooth" \
         and epsilons and strategies else None
 

@@ -23,6 +23,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 import scipy.linalg as sla
+import scipy.sparse as sp
 
 from .coefficients import CoefficientField, SymMat, constant_field
 from .mesh import TriMesh, boundary_mass_matrix, interpolate_boundary, \
@@ -172,11 +173,6 @@ def psi_max_from_m(m: np.ndarray) -> tuple[float, np.ndarray]:
     idx = int(np.argmax(np.abs(vals)))
     lam = float(vals[idx])
     return lam * lam, fix_sign(vecs[:, idx])
-
-
-def psi_sigma_value(meas: Measurements, coarse: CoarseEvaluation) -> float:
-    delta = meas.energies - coarse.energies
-    return float(delta @ delta)
 
 
 def fd_gradient(fn: Callable[[SymMat], float], abar: SymMat,
@@ -464,18 +460,14 @@ def make_objective(meas: Measurements, coarse_mesh: TriMesh,
                              "mode basis")
     model = CoarseModel(coarse_mesh, coarse_basis)
 
-    if noise is not None:
-        # the expectation over matrix perturbations sits inside the squared
-        # difference; the mean over seeded draws keeps it deterministic
+    if kind == "psi_sigma":
+        # under coefficient noise the expectation over matrix perturbations
+        # sits inside the squared difference; the mean over seeded draws
+        # keeps it deterministic
         def fn(abar):
-            draws = [abar] if noise.sigma == 0.0 \
+            draws = [abar] if noise is None or noise.sigma == 0.0 \
                 else draw_matrix_perturbations(abar, noise)[0]
             return _energy_mismatch(meas, model, draws)
-        return fn
-
-    if kind == "psi_sigma":
-        def fn(abar):
-            return _energy_mismatch(meas, model, [abar])
         return fn
     if kind == "psi_max":
         def fn(abar):
@@ -493,32 +485,34 @@ def make_objective(meas: Measurements, coarse_mesh: TriMesh,
     # the same sup -> sum-of-squares surrogate the energy strategy uses, it
     # is smooth where the worst-case form has eigenvalue-crossing kinks, and
     # at desk scale the worst-case descent stalls on a minimizer visibly
-    # biased by the sampled worst direction.  With residuals d_k, the
-    # adjoint state of mode k solves K z_k = (the residual's load), and the
-    # gradient is 2 sum_k z_k.K_ij u_k.
+    # biased by the sampled worst direction.  Both are one least-squares
+    # fit sum_k |data_k - L u_k|_W^2 through a linear observation L: the
+    # restriction to the boundary loop in the boundary mass (ms), or the
+    # interpolation onto the measurement mesh in its volume mass (mv).  With
+    # residuals d_k, the adjoint state of mode k solves K z_k = L^T W d_k,
+    # and the gradient is 2 sum_k z_k.K_ij u_k.
     if kind == "ms":
-        measured = _measured_traces(meas, coarse_mesh)
+        data = _measured_traces(meas, coarse_mesh)
+        # 0/1 entries, so the observed traces are the nodal values exactly;
+        # interpolation_matrix at the loop nodes would round its weights
+        loop = coarse_mesh.boundary_loop
+        observe = sp.csr_matrix((np.ones(loop.size),
+                                 (np.arange(loop.size), loop)),
+                                shape=(loop.size, coarse_mesh.num_nodes))
+        weight = model.boundary_mass
+    elif kind == "mv":
+        data = meas.volume_fields
+        observe, weight = volume_setup(meas, coarse_mesh)
+    else:
+        raise ValueError(f"unknown objective kind {kind!r}")
 
-        def fn(abar):
-            coarse = model.evaluate(abar)
-            diffs = measured - coarse.traces
-            gram = diffs @ (model.boundary_mass @ diffs.T)
-            z = coarse.factor.solve(
-                boundary_load(coarse_mesh, model.boundary_mass, diffs.T)).T
-            return float(np.trace(gram)), 2.0 * coarse.sensitivity(z)
-        return fn
-    if kind == "mv":
-        interp, mass = volume_setup(meas, coarse_mesh)
-
-        def fn(abar):
-            coarse = model.evaluate(abar)
-            diffs = meas.volume_fields - (interp @ coarse.values.T).T
-            weighted = mass @ diffs.T
-            z = coarse.factor.solve(interp.T @ weighted).T
-            return (float(np.trace(diffs @ weighted)),
-                    2.0 * coarse.sensitivity(z))
-        return fn
-    raise ValueError(f"unknown objective kind {kind!r}")
+    def fn(abar):
+        coarse = model.evaluate(abar)
+        diffs = data - (observe @ coarse.values.T).T
+        weighted = weight @ diffs.T
+        z = coarse.factor.solve(observe.T @ weighted).T
+        return float(np.trace(diffs @ weighted)), 2.0 * coarse.sensitivity(z)
+    return fn
 
 
 def identify(meas: Measurements, coarse_mesh: TriMesh, init: SymMat,
@@ -553,8 +547,8 @@ def me_ms_identity_check(coeff: CoefficientField, abar: SymMat,
     nb = mesh.num_boundary_dofs
 
     def apply_h(g):
-        u_eps = solver_eps.solve(g, check_mean=False)
-        u_bar = solver_bar.solve(g, check_mean=False)
+        u_eps = solver_eps.solve(g)
+        u_bar = solver_bar.solve(g)
         return solver_eps.trace(u_eps) - solver_bar.trace(u_bar)
 
     def apply_h_y(y):

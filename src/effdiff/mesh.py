@@ -1,15 +1,15 @@
 """Structured triangulations of the unit square and the periodic unit cell.
 
 Every mesh is a criss-cross-free triangulation: each of the n x n square
-cells is split along its lower-left to upper-right diagonal.  The mesh size
-reported is h = sqrt(2)/n (the longest edge), so a target mesh size h maps
-to n = ceil(sqrt(2)/h).
+cells is split along its lower-left to upper-right diagonal.  A mesh is
+sized by its subdivisions n alone; the sizing convention of
+``experiments.fine_mesh_n`` and ``coarse_mesh_n`` takes h = sqrt(2)/n (the
+longest edge), so a target mesh size h maps to n = ceil(sqrt(2)/h).
 """
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 import scipy.sparse as sp
@@ -30,9 +30,7 @@ class TriMesh:
     nodes: np.ndarray            # (N, 2)
     triangles: np.ndarray        # (M, 3), positively oriented
     boundary_loop: np.ndarray    # (4n,) node indices, CCW from (0,0)
-    boundary_edges: np.ndarray   # (4n, 2) node index pairs
     boundary_normals: np.ndarray  # (4n, 2) outward unit normals
-    h: float
     dof_of_node: np.ndarray | None = field(default=None, repr=False)
 
     @property
@@ -42,12 +40,6 @@ class TriMesh:
     @property
     def num_boundary_dofs(self) -> int:
         return self.boundary_loop.shape[0]
-
-    @property
-    def num_periodic_dofs(self) -> int:
-        if self.dof_of_node is None:
-            raise ValueError("not a periodic cell mesh")
-        return int(self.dof_of_node.max()) + 1
 
 
 # Cell (i, j) is split along its lower-left / upper-right diagonal into a
@@ -71,7 +63,7 @@ def _grid(n: int) -> tuple[np.ndarray, np.ndarray]:
     return nodes, triangles
 
 
-def _boundary_loop(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def _boundary_loop(n: int) -> tuple[np.ndarray, np.ndarray]:
     def idx(i, j):
         return i + j * (n + 1)
 
@@ -81,13 +73,12 @@ def _boundary_loop(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     left = [idx(0, n - j) for j in range(n)]
     loop = np.array(bottom + right + top + left, dtype=np.int64)
 
-    edges = np.column_stack([loop, np.roll(loop, -1)])
     normals = np.zeros((4 * n, 2))
     normals[0:n] = (0.0, -1.0)
     normals[n:2 * n] = (1.0, 0.0)
     normals[2 * n:3 * n] = (0.0, 1.0)
     normals[3 * n:4 * n] = (-1.0, 0.0)
-    return loop, edges, normals
+    return loop, normals
 
 
 def build_unit_square_mesh(n: int) -> TriMesh:
@@ -95,16 +86,9 @@ def build_unit_square_mesh(n: int) -> TriMesh:
     if n < 1:
         raise ValueError(f"need n >= 1, got {n}")
     nodes, triangles = _grid(n)
-    loop, edges, normals = _boundary_loop(n)
-    return TriMesh(
-        n=n,
-        nodes=nodes,
-        triangles=triangles,
-        boundary_loop=loop,
-        boundary_edges=edges,
-        boundary_normals=normals,
-        h=math.sqrt(2.0) / n,
-    )
+    loop, normals = _boundary_loop(n)
+    return TriMesh(n=n, nodes=nodes, triangles=triangles,
+                   boundary_loop=loop, boundary_normals=normals)
 
 
 def build_periodic_cell_mesh(n: int) -> TriMesh:
@@ -117,18 +101,7 @@ def build_periodic_cell_mesh(n: int) -> TriMesh:
         raise ValueError(f"need n >= 2 for a periodic cell, got {n}")
     base = build_unit_square_mesh(n)
     I, J = np.meshgrid(np.arange(n + 1), np.arange(n + 1), indexing="xy")
-    dof = ((I % n) + (J % n) * n).ravel()
-
-    return TriMesh(
-        n=n,
-        nodes=base.nodes,
-        triangles=base.triangles,
-        boundary_loop=base.boundary_loop,
-        boundary_edges=base.boundary_edges,
-        boundary_normals=base.boundary_normals,
-        h=base.h,
-        dof_of_node=dof,
-    )
+    return replace(base, dof_of_node=((I % n) + (J % n) * n).ravel())
 
 
 def boundary_mass_matrix(mesh: TriMesh) -> sp.csr_matrix:

@@ -103,6 +103,11 @@ _LOCAL_TERMS = tuple(
     for a in range(3) for b in range(a, 3))
 
 
+# GridLayout's int32 slot, indices and indptr hold the 7 stencil entries of
+# every node, so a grid has at most this many nodes
+MAX_GRID_NODES = np.iinfo(np.int32).max // len(_STENCIL)
+
+
 @dataclass(frozen=True)
 class GridLayout:
     """Stored entries of the P1 matrices of the n-grid in one layout.
@@ -447,31 +452,21 @@ class NeumannSolver:
             raise ValueError(f"coefficient field is not coercive "
                              f"(alpha = {field.alpha})")
         self.mesh = mesh
-        self.field = field
         self.boundary_mass, self._constraint = _neumann_setup(mesh.n)
         layout = grid_layout(mesh.n, pinned=True)
         self._lu = PinnedLU(assemble_stiffness(mesh, field, layout),
                             layout.order, self._constraint)
 
-    @functools.cached_property
-    def stiffness(self) -> sp.csr_matrix:
-        """The full stiffness matrix, assembled on first use: the
-        factorization reads only its pinned block."""
-        return assemble_stiffness(self.mesh, self.field)
-
-    def _boundary_load(self, g: np.ndarray) -> np.ndarray:
-        return boundary_load(self.mesh, self.boundary_mass, g)
-
-    def solve(self, g: np.ndarray, check_mean: bool = True) -> np.ndarray:
+    def solve(self, g: np.ndarray) -> np.ndarray:
         """Nodal solution with zero boundary mean; g over boundary DOFs."""
         mean = self._constraint[self.mesh.boundary_loop] @ g
         bad = np.abs(mean) > 1e-10 * (np.linalg.norm(g, axis=0) + 1e-300)
-        if check_mean and np.any(bad):
+        if np.any(bad):
             raise ValueError(
                 f"boundary datum has nonzero boundary mean "
                 f"({np.max(np.abs(mean)):.3e}); the pure-Neumann problem "
                 "is incompatible")
-        return self._lu.solve(self._boundary_load(g))
+        return self._lu.solve(boundary_load(self.mesh, self.boundary_mass, g))
 
     def trace(self, u: np.ndarray) -> np.ndarray:
         return u[self.mesh.boundary_loop]
@@ -519,7 +514,6 @@ class CorrectorSolver:
             raise ValueError(f"coefficient field is not coercive "
                              f"(alpha = {field.alpha})")
         self.mesh = cell_mesh
-        self.field = field
         n = cell_mesh.n
         rows = _stiffness_rows(n, field)
         self.loads, self.mean_matrix = _corrector_loads(rows)

@@ -1,4 +1,5 @@
 import csv
+import inspect
 import json
 import math
 
@@ -7,10 +8,11 @@ import pytest
 
 from effdiff import experiments
 from effdiff.coefficients import SymMat, constant_field, sample_checkerboard
-from effdiff.experiments import CSV_COLUMNS, checkerboard_mean, \
-    coarse_mesh_n, err_eps_q, err_star, fine_mesh_n, one_d_profile, \
-    parallel_map, sweep, take_measurements, take_modes, write_csv, \
-    write_json
+from effdiff.cli import RunConfig
+from effdiff.experiments import CSV_COLUMNS, DEFAULT_R, checkerboard_mean, \
+    coarse_mesh_n, err_eps_q, err_star, fine_mesh_n, identify_checkerboard, \
+    one_d_profile, parallel_map, sweep, take_measurements, take_modes, \
+    write_csv, write_json
 from effdiff.identify import simulate_measurements
 from effdiff.mesh import build_unit_square_mesh
 from effdiff.modes import affine_modes
@@ -267,6 +269,17 @@ def test_sweep_checkerboard_small():
         assert rec["experiment"] == "identify_checkerboard"
         assert rec["M1"] == 2
     assert records[1]["a11"] == 8.0 and records[1]["a22"] == 8.0
+
+
+def test_sweep_takes_the_coefficients_default_r():
+    # the library's checkerboard runs and the desk CLI agree on r = 10
+    records = sweep([0.25], ["A_star"], coefficient="checkerboard", p=3,
+                    q=3, m1=1, coarse_h=0.2)
+    assert "error" not in records[0]
+    assert records[0]["r"] == DEFAULT_R["checkerboard"] == 10.0
+    assert RunConfig("sweep", coefficient="checkerboard").resolved_r() == 10.0
+    assert inspect.signature(identify_checkerboard).parameters["r"].default \
+        == 10.0
 
 
 def test_write_csv_and_json(tmp_path):

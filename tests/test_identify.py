@@ -7,11 +7,13 @@ from effdiff.identify import CoarseModel, Measurements, NoiseSpec, \
     apply_measurement_noise, assemble_m, descend, draw_matrix_perturbations, \
     fd_gradient, identify, make_objective, me_ms_identity_check, \
     one_d_noise_descent, one_d_noise_objective, one_d_noise_optimum, \
-    psi_max_from_m, psi_sigma_value, simulate_measurements
-from effdiff.mesh import build_unit_square_mesh
+    psi_max_from_m, simulate_measurements
+from effdiff.mesh import boundary_mass_matrix, build_unit_square_mesh, \
+    interpolate_boundary, interpolation_matrix, zero_mean_project
 from effdiff.modes import affine_modes, compute_r_modes, modes_on_mesh
 import effdiff.solver as solver_module
-from effdiff.solver import NeumannSolver, PinnedBandCholesky
+from effdiff.solver import NeumannSolver, PinnedBandCholesky, \
+    assemble_stiffness, assemble_volume_mass
 
 from conftest import random_spd
 
@@ -104,9 +106,10 @@ def test_banded_surrogate_matches_neumann_solver(n):
                           (out.traces, ref[:, mesh.boundary_loop])):
             assert np.abs(got - want).max() <= tol * np.abs(want).max(), a
         # and the banded solution solves the surrogate system itself
-        residual = ref_solver.stiffness @ out.values.T - model.loads
-        assert np.abs(residual).max() <= 1e-12 * np.abs(
-            ref_solver.stiffness).max() * np.abs(out.values).max()
+        k = assemble_stiffness(mesh, constant_field(a))
+        residual = k @ out.values.T - model.loads
+        assert np.abs(residual).max() <= 1e-12 * np.abs(k).max() \
+            * np.abs(out.values).max()
 
 
 def test_coarse_evaluation_assembles_nothing_and_builds_no_solver(
@@ -176,21 +179,23 @@ def test_psi_sigma_single_mode_equals_psi_max(coarse_mesh):
     meas = simulate_measurements(coarse_mesh, constant_field(a0), basis)
     from effdiff.experiments import take_measurements
     meas1 = take_measurements(meas, 1)
-    model = CoarseModel(coarse_mesh, meas1.basis)
-    coarse = model.evaluate(SymMat(6.0, 0.0, 3.5))
+    at = SymMat(6.0, 0.0, 3.5)
+    coarse = CoarseModel(coarse_mesh, meas1.basis).evaluate(at)
     m, _ = assemble_m(meas1, coarse, meas1.basis)
     val, _ = psi_max_from_m(m)
-    assert abs(val - psi_sigma_value(meas1, coarse)) < 1e-12
+    psi_sigma, _ = make_objective(meas1, coarse_mesh,
+                                  coarse_basis=meas1.basis)(at)
+    assert abs(val - psi_sigma) < 1e-12
 
 
 def test_psi_sigma_relates_to_m_diagonal(small_periodic_setup, coarse_mesh):
     meas = small_periodic_setup["meas"]
     cb = modes_on_mesh(meas.basis, meas.mesh, coarse_mesh)
-    model = CoarseModel(coarse_mesh, cb)
-    coarse = model.evaluate(SymMat(21.0, 0.5, 11.0))
+    at = SymMat(21.0, 0.5, 11.0)
+    coarse = CoarseModel(coarse_mesh, cb).evaluate(at)
     m, _ = assemble_m(meas, coarse, cb)
-    assert abs(psi_sigma_value(meas, coarse)
-               - float(np.sum(np.diag(m) ** 2))) < 1e-12
+    psi_sigma, _ = make_objective(meas, coarse_mesh, coarse_basis=cb)(at)
+    assert abs(psi_sigma - float(np.sum(np.diag(m) ** 2))) < 1e-12
 
 
 # ---------------------------------------------------------------------------
@@ -347,23 +352,28 @@ def test_ms_mv_zero_at_exact_fit(coarse_mesh):
         assert value < 1e-18
 
 
-def test_ms_single_mode_is_plain_norm(small_periodic_setup, coarse_mesh):
+@pytest.mark.parametrize("kind", ["ms", "mv"])
+def test_ms_single_mode_is_plain_norm(small_periodic_setup, coarse_mesh,
+                                      kind):
     from effdiff.experiments import take_measurements
+    fine = small_periodic_setup["fine"]
     meas1 = take_measurements(small_periodic_setup["meas"], 1)
-    cb = modes_on_mesh(meas1.basis, small_periodic_setup["fine"],
-                       coarse_mesh)
+    cb = modes_on_mesh(meas1.basis, fine, coarse_mesh)
     at = SymMat(20.0, 0.0, 12.0)
-    val, _ = make_objective(meas1, coarse_mesh, "ms", coarse_basis=cb)(at)
-    # recompute directly: the squared boundary norm of the one residual
-    from effdiff.mesh import boundary_mass_matrix, interpolate_boundary, \
-        zero_mean_project
-    model = CoarseModel(coarse_mesh, cb)
-    coarse = model.evaluate(at)
-    mb = boundary_mass_matrix(coarse_mesh)
-    t = interpolate_boundary(small_periodic_setup["fine"],
-                             meas1.boundary_traces[0], coarse_mesh)
-    d = zero_mean_project(coarse_mesh, mb, t) - coarse.traces[0]
-    assert abs(val - d @ (mb @ d)) < 1e-12
+    val, _ = make_objective(meas1, coarse_mesh, kind, coarse_basis=cb)(at)
+    # recompute directly: the squared norm of the one residual, on the
+    # coarse boundary (ms) or on the measurement mesh (mv)
+    coarse = CoarseModel(coarse_mesh, cb).evaluate(at)
+    if kind == "ms":
+        mass = boundary_mass_matrix(coarse_mesh)
+        t = interpolate_boundary(fine, meas1.boundary_traces[0], coarse_mesh)
+        d = zero_mean_project(coarse_mesh, mass, t) - coarse.traces[0]
+    else:
+        mass = assemble_volume_mass(fine)
+        d = meas1.volume_fields[0] \
+            - interpolation_matrix(coarse_mesh, fine.nodes) @ coarse.values[0]
+    assert val > 0.0
+    assert abs(val - d @ (mass @ d)) <= 1e-12 * val
 
 
 def test_ms_invariant_under_basis_rotation(small_periodic_setup,

@@ -1,5 +1,3 @@
-import math
-
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -24,7 +22,7 @@ def test_n4_counts():
     mesh = build_unit_square_mesh(4)
     assert mesh.num_nodes == 25
     assert mesh.triangles.shape[0] == 32
-    assert mesh.boundary_edges.shape[0] == 16
+    assert mesh.boundary_normals.shape == (16, 2)
 
 
 def test_rejects_zero_subdivisions():
@@ -39,7 +37,6 @@ def test_area_and_perimeter_identities(n):
     areas, _, _ = triangle_geometry(mesh)
     assert abs(areas.sum() - 1.0) < 1e-12
     assert abs(boundary_perimeter(mesh) - 4.0) < 1e-12
-    assert abs(mesh.h - math.sqrt(2.0) / n) < 1e-15
 
 
 @settings(max_examples=15, deadline=None)
@@ -48,19 +45,13 @@ def test_boundary_normals_unit_and_outward(n):
     mesh = build_unit_square_mesh(n)
     norms = np.linalg.norm(mesh.boundary_normals, axis=1)
     assert np.abs(norms - 1.0).max() < 1e-14
-    # outward: positive dot with (edge midpoint - center)
-    a = mesh.nodes[mesh.boundary_edges[:, 0]]
-    b = mesh.nodes[mesh.boundary_edges[:, 1]]
+    # outward: positive dot with (edge midpoint - center); edge k joins
+    # loop entries k and k + 1
+    a = mesh.nodes[mesh.boundary_loop]
+    b = mesh.nodes[np.roll(mesh.boundary_loop, -1)]
     mid = 0.5 * (a + b) - 0.5
     dots = np.einsum("ki,ki->k", mid, mesh.boundary_normals)
     assert np.all(dots > 0.0)
-
-
-def test_refinement_halves_h():
-    for n in (3, 8, 17):
-        h1 = build_unit_square_mesh(n).h
-        h2 = build_unit_square_mesh(2 * n).h
-        assert abs(h1 - 2.0 * h2) < 1e-15
 
 
 def test_boundary_loop_is_ccw_from_origin():
@@ -76,7 +67,7 @@ def test_boundary_loop_is_ccw_from_origin():
 def test_periodic_cell_counts():
     mesh = build_periodic_cell_mesh(2)
     assert mesh.num_nodes == 9
-    assert mesh.num_periodic_dofs == 4
+    assert np.unique(mesh.dof_of_node).size == 4
 
 
 def test_periodic_pairs_structure():
