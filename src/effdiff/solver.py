@@ -6,10 +6,10 @@ average (corrector) by subtracting a constant, which matches the continuous
 normalization of the solution space; ``PinnedFactor`` holds that
 normalization once, and two factorizations sit under it:
 
-- ``PinnedLU``, SuperLU in George's nested-dissection order of the
-  structured grid with diagonal pivots, serves every solve with a variable
-  coefficient (fine meshes, the corrector) and ``NeumannSolver`` for any
-  field.  Its fill grows like N log N, so it is the one that scales.
+- ``PinnedLU``, SuperLU in its minimum-degree order with diagonal pivots,
+  serves every solve with a variable coefficient (fine meshes, the
+  corrector) and ``NeumannSolver`` for any field.  It is the one that
+  scales.
 - ``PinnedBandCholesky``, LAPACK's banded Cholesky in natural order, serves
   the coarse surrogate, which factors thousands of constant matrices on one
   small grid.  Its stiffness is a combination of three cached bands, and
@@ -26,9 +26,9 @@ cell triangles scaled by 1/n, so its local stiffness is linear in (a11,
 a12, a22) with one fixed table per shape, and its local mass is a constant.
 The local entries of all cells are formed elementwise, summed by slices
 into one 7-point stencil row per node, and scattered by one ``bincount``
-into a ``GridLayout``: every node in natural order, or the pinned block in
-nested-dissection order that ``PinnedLU`` factors, so no matrix is sliced
-before it is factored.
+into a ``GridLayout``: every node, or every periodic class, in natural
+order.  One layout per grid serves the stiffness, the volume mass and the
+unit stiffnesses; ``PinnedLU`` slices its pinned unknown out of the matrix.
 
 The periodic corrector needs no geometry beyond the stiffness K of the
 cell's nodes.  The coordinate x_i is P1 with gradient e_i, so the load of
@@ -41,9 +41,9 @@ constraint weights are uniform.
 
 Work that does not depend on the coefficient is done once per grid size n,
 since the nodes and triangles of both mesh builders depend on n alone: the
-layouts with their elimination orders, the boundary mass and constraint,
-and the stiffnesses of the three unit coefficients (and their bands), from
-which a constant coefficient's stiffness is a linear combination.
+layouts, the boundary mass and constraint, and the stiffnesses of the three
+unit coefficients (and their bands), from which a constant coefficient's
+stiffness is a linear combination.
 """
 
 from __future__ import annotations
@@ -112,15 +112,13 @@ MAX_GRID_NODES = np.iinfo(np.int32).max // len(_STENCIL)
 class GridLayout:
     """Stored entries of the P1 matrices of the n-grid in one layout.
 
-    The unknowns are the nodes (natural order), or with ``periodic`` the n^2
-    classes of the periodic cell; with ``order`` they are taken in that order
-    without its last one, which is pinned.  ``slot[7 v + k]`` is the stored
+    The unknowns are the nodes, or with ``periodic`` the n^2 classes of the
+    periodic cell, in natural order.  ``slot[7 v + k]`` is the stored
     position of node v's coupling to its neighbour ``_STENCIL[k]``, and
-    ``nnz`` for a coupling the layout drops (outside the grid, or pinned).
-    Couplings that land on one entry (the periodic images) are summed.
+    ``nnz`` for a coupling outside the grid.  Couplings that land on one
+    entry (the periodic images) are summed.
     """
 
-    order: np.ndarray | None
     slot: np.ndarray
     indices: np.ndarray
     indptr: np.ndarray
@@ -137,9 +135,9 @@ class GridLayout:
         """The matrix of the stencil rows ``rows`` (from ``_stencil_rows``).
 
         The matrix shares the layout's index arrays, which are read-only:
-        copy it before changing its sparsity, as ``PinnedLU`` does to drop
-        exact zeros.  A copy per matrix, held through a factorization,
-        raised the peak RSS of six n = 300 realizations by 3 MB.
+        copy it before changing its sparsity.  A copy per matrix, held
+        through a factorization, raised the peak RSS of six n = 300
+        realizations by 3 MB.
         """
         data = np.bincount(self.slot, weights=rows.ravel(),
                            minlength=self.nnz + 1)[:-1]
@@ -162,28 +160,16 @@ def _stencil_rows(n: int, entry) -> np.ndarray:
 
 
 @functools.lru_cache(maxsize=4)
-def grid_layout(n: int, periodic: bool = False,
-                pinned: bool = False) -> GridLayout:
-    """Layout of the n-grid's matrices: every node in natural order, or the
-    periodic classes (``periodic``), or either without its pinned unknown
-    in nested-dissection order (``pinned``), the layout ``PinnedLU``
-    factors.  The layout keeps the triangulation's sparsity when an entry is
-    zero, so a matrix's stored pattern does not depend on its values;
-    ``PinnedLU`` drops the zeros from its own copy before it factors."""
-    if not pinned:
-        order = None
-    elif periodic:
-        order = nested_dissection(n, n, periodic=True)
-    else:
-        order = nested_dissection(n + 1, n + 1)
+def grid_layout(n: int, periodic: bool = False) -> GridLayout:
+    """Layout of the n-grid's matrices: every node, or the periodic classes
+    (``periodic``), in natural order.  The layout keeps the triangulation's
+    sparsity when an entry is zero, so a matrix's stored pattern does not
+    depend on its values; ``PinnedLU`` drops the zeros from its own block
+    before it factors."""
     size = n * n if periodic else (n + 1) ** 2
-    pos = np.arange(size)
-    if pinned:
-        pos[order] = np.arange(size)  # the pinned unknown goes to size - 1
-        size -= 1
 
     def unknown(i, j):
-        return pos[i % n + j % n * n if periodic else i + j * (n + 1)]
+        return i % n + j % n * n if periodic else i + j * (n + 1)
 
     i, j = np.meshgrid(np.arange(n + 1), np.arange(n + 1), indexing="xy")
     di, dj = np.array(_STENCIL).T
@@ -191,18 +177,16 @@ def grid_layout(n: int, periodic: bool = False,
     inside = (ni >= 0) & (ni <= n) & (nj >= 0) & (nj <= n)
     row = np.broadcast_to(unknown(i, j)[..., None], inside.shape)
     col = unknown(np.clip(ni, 0, n), np.clip(nj, 0, n))
-    kept = inside & (row < size) & (col < size)
-    keys, inverse = np.unique(row[kept] * size + col[kept],
+    keys, inverse = np.unique(row[inside] * size + col[inside],
                               return_inverse=True)
-    slot = np.full(kept.size, keys.shape[0], dtype=np.int32)
-    slot[kept.ravel()] = inverse
+    slot = np.full(inside.size, keys.shape[0], dtype=np.int32)
+    slot[inside.ravel()] = inverse
     layout = GridLayout(
-        order=order, slot=slot, indices=(keys % size).astype(np.int32),
+        slot=slot, indices=(keys % size).astype(np.int32),
         indptr=np.searchsorted(keys, np.arange(size + 1) * size).astype(
             np.int32))
-    for a in (order, slot, layout.indices, layout.indptr):
-        if a is not None:
-            a.flags.writeable = False
+    for a in (slot, layout.indices, layout.indptr):
+        a.flags.writeable = False
     return layout
 
 
@@ -256,12 +240,10 @@ def _stiffness_rows(n: int, field: CoefficientField) -> np.ndarray:
                                                a[..., 1, 1]))
 
 
-def assemble_stiffness(mesh: TriMesh, field: CoefficientField,
-                       layout: GridLayout | None = None) -> sp.csr_matrix:
-    """Stiffness matrix with the coefficient sampled at barycenters, in
-    ``layout`` (default: every node of the mesh, natural order)."""
-    layout = grid_layout(mesh.n) if layout is None else layout
-    return layout.assemble(_stiffness_rows(mesh.n, field))
+def assemble_stiffness(mesh: TriMesh, field: CoefficientField) -> sp.csr_matrix:
+    """Stiffness matrix with the coefficient sampled at barycenters, every
+    node of the mesh in natural order."""
+    return grid_layout(mesh.n).assemble(_stiffness_rows(mesh.n, field))
 
 
 def assemble_volume_mass(mesh: TriMesh) -> sp.csr_matrix:
@@ -279,45 +261,6 @@ def boundary_load(mesh: TriMesh, mass: sp.spmatrix,
     b = np.zeros((mesh.num_nodes,) + g.shape[1:])
     b[mesh.boundary_loop] = mass @ g
     return b
-
-
-# blocks this small are ordered row by row
-_ND_LEAF = 4
-
-
-def nested_dissection(nx: int, ny: int, periodic: bool = False) -> np.ndarray:
-    """Nested-dissection order of the nodes i + j * nx of an nx-by-ny grid.
-
-    A. George, "Nested dissection of a regular finite element mesh", SIAM
-    J. Numer. Anal. 10(2), 1973.  A block is split by its middle grid line
-    across the longer side; the two halves come first and the line last.
-    One grid line separates the stencil of the diagonal triangulation,
-    whose neighbours differ by at most one in each index.  With
-    ``periodic`` (wraparound in both directions) the lines j = 0 and
-    i = 0 cut the torus open and come last.
-    """
-    grid = np.arange(nx * ny).reshape(ny, nx)  # grid[j, i]
-    parts = []
-
-    def dissect(block):
-        h, w = block.shape
-        if h * w <= _ND_LEAF:
-            parts.append(block.ravel())
-        elif w >= h:
-            dissect(block[:, :w // 2])
-            dissect(block[:, w // 2 + 1:])
-            parts.append(block[:, w // 2])
-        else:
-            dissect(block[:h // 2])
-            dissect(block[h // 2 + 1:])
-            parts.append(block[h // 2])
-
-    if periodic:
-        dissect(grid[1:, 1:])
-        parts += [grid[0, 1:], grid[:, 0]]
-    else:
-        dissect(grid)
-    return np.concatenate(parts)
 
 
 class PinnedFactor:
@@ -352,21 +295,22 @@ class PinnedFactor:
 class PinnedLU(PinnedFactor):
     """Sparse LU (SuperLU) of a stiffness K, any coefficient.
 
-    The last node of ``order`` is pinned, and ``k`` is K on the others in
-    that order (``grid_layout(..., pinned=True)``), factored in that order
-    with diagonal pivots.
+    Unknown ``pin`` of K is pinned, and K on the others is factored with
+    diagonal pivots in SuperLU's minimum-degree order of K + K^T (Liu, ACM
+    TOMS 11, 1985).
     """
 
-    def __init__(self, k: sp.csr_matrix, order: np.ndarray,
-                 weights: np.ndarray):
-        super().__init__(order[:-1], weights)
-        # a diagonal coefficient's diagonal couplings are stored as exact
-        # zeros; dropping them keeps them out of the fill (-5.9% at n = 300).
-        # The copy leaves the layout's read-only pattern alone.
-        k = k.copy()
+    def __init__(self, k: sp.csr_matrix, pin: int, weights: np.ndarray):
+        free = np.delete(np.arange(k.shape[0]), pin)
+        super().__init__(free, weights)
+        # the slice is a copy with its own pattern.  A diagonal
+        # coefficient's diagonal couplings are stored as exact zeros;
+        # dropping them keeps them out of the fill (-39% at n = 300).
+        k = k[free][:, free]
         k.eliminate_zeros()
         # k is symmetric, so k.T is k in CSC form, without a copy
-        self._lu = spla.splu(k.T, permc_spec="NATURAL", diag_pivot_thresh=0.0,
+        self._lu = spla.splu(k.T, permc_spec="MMD_AT_PLUS_A",
+                             diag_pivot_thresh=0.0,
                              options={"SymmetricMode": True})
         self.nnz = self._lu.nnz
         self._solve_free = self._lu.solve
@@ -453,9 +397,12 @@ class NeumannSolver:
                              f"(alpha = {field.alpha})")
         self.mesh = mesh
         self.boundary_mass, self._constraint = _neumann_setup(mesh.n)
-        layout = grid_layout(mesh.n, pinned=True)
-        self._lu = PinnedLU(assemble_stiffness(mesh, field, layout),
-                            layout.order, self._constraint)
+        # the node nearest the centre: the solution is shifted back by its
+        # value there, and a harmonic extension of boundary data is close
+        # to its mean at the centre
+        n = mesh.n
+        self._lu = PinnedLU(assemble_stiffness(mesh, field), n // 2 * (n + 2),
+                            self._constraint)
 
     def solve(self, g: np.ndarray) -> np.ndarray:
         """Nodal solution with zero boundary mean; g over boundary DOFs."""
@@ -517,9 +464,8 @@ class CorrectorSolver:
         n = cell_mesh.n
         rows = _stiffness_rows(n, field)
         self.loads, self.mean_matrix = _corrector_loads(rows)
-        layout = grid_layout(n, periodic=True, pinned=True)
-        self._lu = PinnedLU(layout.assemble(rows), layout.order,
-                            np.ones(n * n))
+        self._lu = PinnedLU(grid_layout(n, periodic=True).assemble(rows),
+                            n * n - 1, np.ones(n * n))
 
     def solve(self, p) -> np.ndarray:
         """Class values of the corrector of direction p, the solution for

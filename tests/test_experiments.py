@@ -55,15 +55,18 @@ def small_measurements(a0=SymMat(10.0, 1.0, 6.0), n=12):
 
 def test_err_eps_q_zero_at_exact_fit():
     mesh, basis, meas = small_measurements()
-    val = err_eps_q(SymMat(10.0, 1.0, 6.0), meas, mesh, basis)
+    with pytest.warns(UserWarning, match="ridge"):
+        val = err_eps_q(SymMat(10.0, 1.0, 6.0), meas, mesh, basis)
     assert val < 1e-7
 
 
 def test_err_eps_q_dominates_single_mode():
     mesh, basis, meas = small_measurements()
     at = SymMat(12.0, 0.0, 7.0)
-    full = err_eps_q(at, meas, mesh, basis)
-    one = err_eps_q(at, take_measurements(meas, 1), mesh, take_modes(basis, 1))
+    with pytest.warns(UserWarning, match="ridge"):
+        full = err_eps_q(at, meas, mesh, basis)
+        one = err_eps_q(at, take_measurements(meas, 1), mesh,
+                        take_modes(basis, 1))
     assert one <= full + 1e-10
 
 
@@ -72,7 +75,8 @@ def test_err_eps_q_is_max_over_sampled_ratios():
     # recorded fields can only fall below it
     mesh, basis, meas = small_measurements()
     at = SymMat(13.0, -0.5, 8.0)
-    val = err_eps_q(at, meas, mesh, basis)
+    with pytest.warns(UserWarning, match="ridge"):
+        val = err_eps_q(at, meas, mesh, basis)
     from effdiff.identify import CoarseModel
     from effdiff.mesh import interpolate_nodal
     from effdiff.solver import assemble_volume_mass

@@ -1,15 +1,16 @@
 import numpy as np
 import pytest
+import scipy.linalg as sla
 
 import effdiff.solver as solver_module
 from effdiff.coefficients import CoefficientField, SymMat, constant_field, \
     periodic_smooth_field, sample_checkerboard, scale_epsilon
 from effdiff.mesh import boundary_mass_matrix, build_periodic_cell_mesh, \
     build_unit_square_mesh
-from effdiff.modes import affine_modes
+from effdiff.modes import affine_modes, compute_r_modes
 from effdiff.solver import CorrectorSolver, NeumannSolver, \
     assemble_stiffness, assemble_volume_mass, boundary_load, grid_layout, \
-    nested_dissection, unit_stiffnesses
+    unit_stiffnesses
 
 from conftest import element_gradients, triangle_geometry
 
@@ -169,15 +170,6 @@ def test_constant_solver_rejects_indefinite():
         NeumannSolver(mesh, constant_field(SymMat(1.0, 2.0, 1.0)))
 
 
-@pytest.mark.parametrize("nx, ny, periodic", [
-    (7, 7, False), (9, 5, False), (1, 9, False), (9, 1, False),
-    (1, 1, False), (33, 17, False), (6, 6, True), (7, 5, True),
-    (2, 2, True), (24, 24, True)])
-def test_nested_dissection_is_a_permutation(nx, ny, periodic):
-    order = nested_dissection(nx, ny, periodic)
-    assert np.array_equal(np.sort(order), np.arange(nx * ny))
-
-
 def zero_mean_reference(k, weights, b):
     """Dense solution of K u = b (b made compatible) with weights . u = 0."""
     ones = np.ones(len(b))
@@ -234,17 +226,22 @@ def reference_matrices(mesh, field):
     return k, m
 
 
-def factored_inputs(monkeypatch):
-    """The matrices handed to PinnedLU while the monkeypatch holds."""
-    inputs = []
+def factored_blocks(monkeypatch):
+    """The matrices handed to SuperLU while the monkeypatch holds."""
+    blocks = []
+    splu = solver_module.spla.splu
 
-    class Recording(solver_module.PinnedLU):
-        def __init__(self, k, order, weights):
-            inputs.append(k)
-            super().__init__(k, order, weights)
+    def recording(a, *args, **kwargs):
+        blocks.append(a)
+        return splu(a, *args, **kwargs)
 
-    monkeypatch.setattr(solver_module, "PinnedLU", Recording)
-    return inputs
+    monkeypatch.setattr(solver_module.spla, "splu", recording)
+    return blocks
+
+
+def without(k, pin):
+    """Dense k without row and column ``pin``."""
+    return np.delete(np.delete(k, pin, axis=0), pin, axis=1)
 
 
 def test_barycenters_match_triangle_geometry_bit_for_bit():
@@ -263,7 +260,7 @@ def test_barycenters_match_triangle_geometry_bit_for_bit():
 def test_assembly_matches_barycentric_reference(n, periodic, monkeypatch):
     mesh = (build_periodic_cell_mesh if periodic
             else build_unit_square_mesh)(n)
-    inputs = factored_inputs(monkeypatch)
+    blocks = factored_blocks(monkeypatch)
     fields = [random_triangle_field(n, n), sample_checkerboard(n, 0.3),
               periodic_smooth_field() if periodic
               else scale_epsilon(periodic_smooth_field(), 0.3)]
@@ -274,28 +271,27 @@ def test_assembly_matches_barycentric_reference(n, periodic, monkeypatch):
         m = assemble_volume_mass(mesh).toarray()
         assert np.abs(m - m_ref).max() <= 1e-14 * np.abs(m_ref).max()
         if not periodic:
-            # the factored block is the full stiffness without its pinned
-            # node, in nested-dissection order, bit for bit
+            # the factored block is the full stiffness without the node
+            # nearest the centre, bit for bit
             NeumannSolver(mesh, field)
-            free = grid_layout(n, pinned=True).order[:-1]
-            assert np.array_equal(inputs.pop().toarray(),
-                                  k[free][:, free].toarray())
+            assert np.array_equal(blocks.pop().T.toarray(),
+                                  without(k.toarray(), n // 2 * (n + 2)))
             continue
-        # the periodic block sums the images of each class
-        layout = grid_layout(n, periodic=True, pinned=True)
+        # the periodic matrix sums the images of each class
         red = periodic_reduction(mesh)
-        free = layout.order[:-1]
-        k_red = (red.T @ k_ref @ red)[np.ix_(free, free)]
-        k_free = assemble_stiffness(mesh, field, layout).toarray()
-        assert np.abs(k_free - k_red).max() <= 1e-14 * np.abs(k_red).max()
+        k_red = red.T @ k_ref @ red
+        k_cell = grid_layout(n, periodic=True).assemble(
+            solver_module._stiffness_rows(n, field)).toarray()
+        assert np.abs(k_cell - k_red).max() <= 1e-14 * np.abs(k_red).max()
         if field.kind == "periodic_analytic":
+            # the corrector pins the last class
             CorrectorSolver(mesh, field)
-            k_lu = inputs.pop()
-            assert np.array_equal(k_lu.toarray(), k_free)
+            assert np.array_equal(blocks.pop().T.toarray(),
+                                  without(k_cell, n * n - 1))
 
 
 def test_assembly_work_is_done_once_per_grid(monkeypatch):
-    # the layouts, orders and constraint are cached per grid size; a new
+    # the layout and constraint are cached per grid size; a new
     # coefficient costs its own evaluation and local entries alone
     mesh = build_unit_square_mesh(12)
     g = affine_modes(mesh).modes[0]
@@ -307,7 +303,6 @@ def test_assembly_work_is_done_once_per_grid(monkeypatch):
         raise AssertionError("assembly repeated work of the grid")
 
     monkeypatch.setattr(solver_module.sp, "coo_matrix", forbidden)
-    monkeypatch.setattr(solver_module, "nested_dissection", forbidden)
     field = sample_checkerboard(2, 0.25)
     solver = NeumannSolver(mesh, field)
     m = assemble_volume_mass(mesh)
@@ -335,6 +330,45 @@ def test_pinned_neumann_solve_matches_dense_reference(n):
         u = solver._lu.solve(b) if g is g_free else solver.solve(g)
         ref = zero_mean_reference(k, c, b)
         assert np.abs(u - ref).max() <= 1e-12 * np.abs(ref).max()
+
+
+def bordered_reference(k, weights, b):
+    """Solution of K u = b with weights . u = 0 for a compatible load b,
+    by the dense bordered system [[K, w], [w^T, 0]], refined twice with a
+    residual in extended precision."""
+    size = k.shape[0]
+    bordered = np.zeros((size + 1, size + 1))
+    bordered[:size, :size] = k
+    bordered[:size, size] = bordered[size, :size] = weights
+    rhs = np.vstack([b, np.zeros((1, b.shape[1]))])
+    lu = sla.lu_factor(bordered)
+    x = sla.lu_solve(lu, rhs)
+    exact = bordered.astype(np.longdouble)
+    for _ in range(2):
+        residual = rhs.astype(np.longdouble) - exact @ x.astype(np.longdouble)
+        x = x + sla.lu_solve(lu, residual.astype(float))
+    return x[:size]
+
+
+@pytest.mark.parametrize("n", [29, 41])
+@pytest.mark.parametrize("field", [
+    pytest.param(constant_field(SymMat(22.46, 0.74, 16.03)), id="constant"),
+    pytest.param(scale_epsilon(periodic_smooth_field(), 0.2), id="periodic"),
+    pytest.param(sample_checkerboard(1, 0.25), id="checkerboard")])
+def test_neumann_solve_matches_refined_bordered_solve(n, field):
+    # the pinned solution is shifted back by its value at the pin, so the
+    # pin's rounding reaches every node; the R-modes' harmonic extensions
+    # are close to their mean at the centre, where the pin sits
+    mesh = build_unit_square_mesh(n)
+    solver = NeumannSolver(mesh, field)
+    g = compute_r_modes(mesh, 5).modes.T
+    mass = boundary_mass_matrix(mesh)
+    weights = np.zeros(mesh.num_nodes)
+    weights[mesh.boundary_loop] = mass @ np.ones(mesh.num_boundary_dofs)
+    ref = bordered_reference(assemble_stiffness(mesh, field).toarray(),
+                             weights, boundary_load(mesh, mass, g))
+    u = solver.solve(g)
+    assert np.abs(u - ref).max() <= 1e-13 * np.abs(ref).max()
 
 
 def sheared_periodic_field():
@@ -383,18 +417,10 @@ def test_pinned_corrector_solve_matches_dense_reference(n, field):
 def test_factored_matrix_stores_no_zeros(monkeypatch):
     # the diagonal couplings of a diagonal coefficient are exact zeros in
     # the layout's pattern; they are dropped before the factorization
-    factored = []
-    splu = solver_module.spla.splu
-
-    def recording(a, *args, **kwargs):
-        factored.append(a)
-        return splu(a, *args, **kwargs)
-
-    monkeypatch.setattr(solver_module.spla, "splu", recording)
+    factored = factored_blocks(monkeypatch)
     NeumannSolver(build_unit_square_mesh(12), sample_checkerboard(1, 0.25))
     CorrectorSolver(build_periodic_cell_mesh(12), periodic_smooth_field())
-    layouts = (grid_layout(12, pinned=True),
-               grid_layout(12, periodic=True, pinned=True))
+    layouts = (grid_layout(12), grid_layout(12, periodic=True))
     assert len(factored) == len(layouts)
     for a, layout in zip(factored, layouts):
         assert np.all(a.data != 0.0)
