@@ -128,12 +128,16 @@ def err_star(abar: SymMat, a_star: SymMat) -> float:
 
 
 def err_eps_q(abar: SymMat, meas: Measurements, coarse_mesh: TriMesh,
-              coarse_basis: ModeBasis | None = None) -> float:
-    """Worst-case relative volume error over combinations of the Q modes.
+              coarse_basis: ModeBasis | None = None
+              ) -> tuple[float, float | None]:
+    """Worst-case relative volume error over combinations of the Q modes,
+    and the ridge added to a singular measured-field Gram (None if none).
 
     The ratio of volume norms is maximized by the generalized eigenproblem
     of the difference Gram against the measured-field Gram; the candidate
-    solution is interpolated onto the measurement mesh.
+    solution is interpolated onto the measurement mesh.  When that Gram is
+    numerically singular, 1e-12 of its mean diagonal is added to it, with
+    a warning.
     """
     interp, mass = volume_setup(meas, coarse_mesh)
     if coarse_basis is None:
@@ -143,16 +147,17 @@ def err_eps_q(abar: SymMat, meas: Measurements, coarse_mesh: TriMesh,
     d = diffs @ (mass @ diffs.T)
     nmat = meas.volume_fields @ (mass @ meas.volume_fields.T)
 
+    ridge = None
     try:
         vals = sla.eigh(d, nmat, eigvals_only=True)
     except sla.LinAlgError:
-        ridge = 1e-12 * np.trace(nmat) / meas.count
+        ridge = float(1e-12 * np.trace(nmat) / meas.count)
         warnings.warn(
             f"measured-field Gram numerically singular; adding ridge "
             f"{ridge:.3e}")
         vals = sla.eigh(d, nmat + ridge * np.eye(meas.count),
                         eigvals_only=True)
-    return float(math.sqrt(max(vals[-1], 0.0)))
+    return float(math.sqrt(max(vals[-1], 0.0))), ridge
 
 
 def parallel_map(fn: Callable, items: Iterable, workers: int = 1) -> list:
@@ -217,13 +222,15 @@ def record(experiment: str, strategy: str, eps: float | None,
 
 def _descent_fields(trace: OptimizerTrace | None) -> dict:
     """The final objective value and iterations of the descent behind a
-    record, and how it stopped (all None without a descent)."""
+    record, how it stopped, and its objective values and gradients
+    computed (all None without a descent)."""
     if trace is None:
         return dict.fromkeys(("psi_final", "iters", "termination",
-                              "grad_norm"))
+                              "grad_norm", "evaluations", "gradients"))
     return {"psi_final": trace.objective_values[-1],
             "iters": trace.iterations, "termination": trace.termination,
-            "grad_norm": trace.gradient_norms[-1]}
+            "grad_norm": trace.gradient_norms[-1],
+            "evaluations": trace.evaluations, "gradients": trace.gradients}
 
 
 @lru_cache(maxsize=None)
@@ -279,9 +286,11 @@ def _identify_record(experiment: str, strategy: str, eps: float,
         trace = identify(meas_p, coarse, init,
                          objective=_strategy_objective(strategy))
         abar = trace.final
-    erre = err_eps_q(abar, meas_q, coarse) if compute_err_eps_q else None
+    erre, ridge = err_eps_q(abar, meas_q, coarse) if compute_err_eps_q \
+        else (None, None)
     return record(experiment, strategy, eps, abar, P=p, Q=q, r=r, seed=seed,
                   err_star=err_star(abar, a_star), err_eps_q=erre,
+                  err_eps_q_ridge=ridge,
                   wall_ms=1000.0 * (time.perf_counter() - t0), **extra,
                   energies=[float(e) for e in meas_q.energies],
                   **_descent_fields(trace))

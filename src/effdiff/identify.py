@@ -10,13 +10,17 @@ stiffness is a11 K11 + a12 K12 + a22 K22, so its derivative in an entry is
 a unit stiffness, and each objective only supplies its adjoint states.  The
 surrogate is factored by banded Cholesky of that combination of cached
 bands; measurements and the single-mesh identity check go through
-``NeumannSolver``.  Two noise mechanisms are implemented: multiplicative
+``NeumannSolver``.  Armijo trials are value-only: a trial costs a
+factorization and a forward solve (the energies are |L^-1 b|^2), and the
+back-solve and the gradient are paid at the accepted point only, on the
+factor its trial left.  Two noise mechanisms are implemented: multiplicative
 noise on the measured energies, and additive random perturbations of the
 candidate matrix inside the surrogate solves.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, replace
 from typing import Callable, Sequence
@@ -31,7 +35,7 @@ from .mesh import TriMesh, boundary_mass_matrix, interpolate_boundary, \
 from .mesh import interpolate_nodal  # noqa: F401  (bench/child.py wraps it)
 from .modes import ModeBasis, extreme_eigenpairs, fix_sign, modes_on_mesh
 from .solver import NeumannSolver, PinnedBandCholesky, \
-    assemble_volume_mass, boundary_load, unit_stiffnesses
+    assemble_volume_mass, band_loads, boundary_load, unit_stiffnesses
 
 
 # ---------------------------------------------------------------------------
@@ -82,12 +86,25 @@ def simulate_measurements(mesh: TriMesh, coeff: CoefficientField,
 
 @dataclass
 class CoarseEvaluation:
+    """The surrogate at one candidate: its factor, the forward solves of
+    the mode loads and their energies.  The solutions (``values``) and
+    their traces cost a back-solve, done on first use."""
+
     abar: SymMat
     energies: np.ndarray       # (P,)
-    traces: np.ndarray         # (P, nb)
-    values: np.ndarray         # (P, num_nodes)
+    forward: np.ndarray        # (N - 1, P): L^-1 of the compatible loads
     model: CoarseModel         # mesh, boundary mass and mode loads
     factor: PinnedBandCholesky  # the candidate's factorization
+
+    @functools.cached_property
+    def values(self) -> np.ndarray:
+        """Nodal solutions of the P mode loads, shape (P, num_nodes)."""
+        return self.factor.back(self.forward).T
+
+    @functools.cached_property
+    def traces(self) -> np.ndarray:
+        """Boundary traces of the solutions, shape (P, nb)."""
+        return self.values[:, self.model.mesh.boundary_loop]
 
     def sensitivity(self, z: np.ndarray,
                     u: np.ndarray | None = None) -> np.ndarray:
@@ -109,9 +126,10 @@ class CoarseEvaluation:
 class CoarseModel:
     """Per-candidate solves of the constant-coefficient surrogate.
 
-    Holds the coarse mesh, the mode basis and the modes' nodal loads; each
-    candidate matrix costs one banded Cholesky factorization and one solve
-    of all P loads at once.
+    Holds the coarse mesh, the mode basis and the modes' nodal loads, made
+    compatible once; each candidate matrix costs one banded Cholesky
+    factorization and one forward solve of all P loads at once, which gives
+    the energies.  The solutions cost a back-solve more, when first read.
     """
 
     def __init__(self, coarse_mesh: TriMesh, basis: ModeBasis):
@@ -122,17 +140,18 @@ class CoarseModel:
         self.boundary_mass = boundary_mass_matrix(coarse_mesh)
         self.loads = boundary_load(coarse_mesh, self.boundary_mass,
                                    basis.modes.T)   # (num_nodes, P)
+        self._band_loads = band_loads(self.loads, coarse_mesh.n)
 
     def evaluate(self, abar: SymMat) -> CoarseEvaluation:
         if not abar.is_spd():
             raise ValueError(f"candidate {abar} is not positive definite")
         factor = PinnedBandCholesky(abar, self.mesh.n)
-        u = factor.solve(self.loads)
-        # the stored energy -1/2 <g, u|boundary> of each mode is -1/2 b.u
-        energies = -0.5 * np.einsum("np,np->p", self.loads, u)
-        return CoarseEvaluation(abar=abar, energies=energies,
-                                traces=u[self.mesh.boundary_loop].T,
-                                values=u.T, model=self, factor=factor)
+        y = factor.forward(self._band_loads)
+        # the stored energy -1/2 <g, u|boundary> of each mode is -1/2 b.u =
+        # -1/2 |L^-1 b|^2 for the compatible load b
+        energies = -0.5 * np.einsum("np,np->p", y, y)
+        return CoarseEvaluation(abar=abar, energies=energies, forward=y,
+                                model=self, factor=factor)
 
 
 # ---------------------------------------------------------------------------
@@ -189,10 +208,11 @@ def fd_gradient(fn: Callable[[SymMat], float], abar: SymMat,
     return out
 
 
-def _energy_mismatch(meas: Measurements, model: CoarseModel,
-                    candidates: Sequence[SymMat]) -> tuple[float, np.ndarray]:
+def _energy_mismatch(meas: Measurements, coarse: Sequence[CoarseEvaluation],
+                     grad: bool) -> tuple[float, np.ndarray | None]:
     """Squared gap between the measured energies and the mean surrogate
-    energies over `candidates`, and its gradient.
+    energies over the evaluations ``coarse``, and its gradient (None
+    without ``grad``).
 
     The candidates are the point itself or the point plus fixed offsets,
     so the gradient in the point is the mean over the candidates.  A
@@ -200,10 +220,12 @@ def _energy_mismatch(meas: Measurements, model: CoarseModel,
     dE/da_ij = u.K_ij u / 2, and the chain rule through the squared gap
     delta supplies -2 delta: the adjoint state of mode p is delta_p u_p.
     """
-    coarse = [model.evaluate(c) for c in candidates]
     delta = meas.energies - sum(c.energies for c in coarse) / len(coarse)
-    grad = sum(c.sensitivity(delta[:, None] * c.values) for c in coarse)
-    return float(delta @ delta), -grad / len(coarse)
+    value = float(delta @ delta)
+    if not grad:
+        return value, None
+    g = sum(c.sensitivity(delta[:, None] * c.values) for c in coarse)
+    return value, -g / len(coarse)
 
 
 # ---------------------------------------------------------------------------
@@ -363,6 +385,8 @@ class OptimizerTrace:
     gradient_norms: list[float]
     step_sizes: list[float]
     termination: str   # gradient_small | max_iters | line_search_failed
+    evaluations: int   # objective values: the start and every trial
+    gradients: int     # gradients: the start and every accepted point
 
     @property
     def final(self) -> SymMat:
@@ -378,17 +402,22 @@ BACKTRACK = 0.5         # step shrink per failed trial
 FIRST_MOVE_FRAC = 0.1   # largest relative move of a first trial step
 MAX_BACKTRACKS = 60
 
+Objective = Callable[..., tuple[float, "np.ndarray | None"]]
 
-def descend(value_and_grad: Callable[[SymMat], tuple[float, np.ndarray]],
-            init: SymMat,
-            max_iters: int = 200,
+
+def descend(value_and_grad: Objective, init: SymMat, max_iters: int = 200,
             grad_tol: float = 1e-8) -> OptimizerTrace:
     """Armijo backtracking gradient descent over symmetric 2x2 matrices.
 
-    The first trial step is scaled so the first update moves the candidate
-    by at most ``FIRST_MOVE_FRAC`` of its Frobenius norm; later iterations
-    start from twice the previously accepted step.  Trial points outside
-    the positive-definite cone count as failed Armijo trials.
+    ``value_and_grad(a)`` returns the objective and its gradient at a, and
+    ``value_and_grad(a, grad=False)`` the objective and None.  A trial
+    point needs the value only (Nocedal & Wright, Numerical Optimization,
+    sec. 3.1), so the gradient is asked for at the start and at each
+    accepted point.  The first trial step is scaled so the first update
+    moves the candidate by at most ``FIRST_MOVE_FRAC`` of its Frobenius
+    norm; later iterations start from twice the previously accepted step.
+    Trial points outside the positive-definite cone count as failed Armijo
+    trials.
     """
     if not init.is_spd():
         raise ValueError(f"initial candidate {init} is not positive definite")
@@ -396,7 +425,8 @@ def descend(value_and_grad: Callable[[SymMat], tuple[float, np.ndarray]],
     val, grad = value_and_grad(a)
     trace = OptimizerTrace(iterates=[a], objective_values=[val],
                            gradient_norms=[float(np.linalg.norm(grad))],
-                           step_sizes=[], termination="max_iters")
+                           step_sizes=[], termination="max_iters",
+                           evaluations=1, gradients=1)
     t_accepted = None
     for _ in range(max_iters):
         gnorm = trace.gradient_norms[-1]
@@ -410,7 +440,8 @@ def descend(value_and_grad: Callable[[SymMat], tuple[float, np.ndarray]],
         for _ in range(MAX_BACKTRACKS):
             cand = SymMat.from_vec(a.vec() - t * grad)
             if cand.is_spd():
-                cval, cgrad = value_and_grad(cand)
+                cval, _ = value_and_grad(cand, grad=False)
+                trace.evaluations += 1
                 if cval <= val - ARMIJO_M * t * gnorm * gnorm:
                     accepted = True
                     break
@@ -418,7 +449,9 @@ def descend(value_and_grad: Callable[[SymMat], tuple[float, np.ndarray]],
         if not accepted:
             trace.termination = "line_search_failed"
             return trace
-        a, val, grad = cand, cval, cgrad
+        a = cand
+        val, grad = value_and_grad(a)
+        trace.gradients += 1
         t_accepted = t
         trace.iterates.append(a)
         trace.objective_values.append(val)
@@ -433,17 +466,20 @@ def descend(value_and_grad: Callable[[SymMat], tuple[float, np.ndarray]],
 def make_objective(meas: Measurements, coarse_mesh: TriMesh,
                    kind: str = "psi_sigma",
                    noise: NoiseSpec | None = None,
-                   coarse_basis: ModeBasis | None = None
-                   ) -> Callable[[SymMat], tuple[float, np.ndarray]]:
+                   coarse_basis: ModeBasis | None = None) -> Objective:
     """Bundle an objective with its exact gradient for the descent loop.
 
-    Every objective is differentiated through the surrogate stiffness
-    a11 K11 + a12 K12 + a22 K22 (``CoarseEvaluation.sensitivity``), so a
-    call costs one surrogate evaluation (one per draw under coefficient
-    noise) plus, for ``ms`` and ``mv``, one solve of the P adjoint loads on
-    its factorization.  Work that does not depend on the candidate (measured
-    traces on the coarse boundary, the fine-mesh interpolation and mass
-    matrix) is done here, once.
+    ``fn(abar)`` returns (value, gradient), and ``fn(abar, grad=False)``
+    (value, None), without the adjoint and sensitivity work.  Every
+    gradient is taken through the surrogate stiffness a11 K11 + a12 K12 +
+    a22 K22 (``CoarseEvaluation.sensitivity``).  A value costs one
+    surrogate evaluation (one per draw under coefficient noise), plus the
+    back-solve where it reads the solutions (``ms``, ``mv``, and ``psi_max``
+    with a cross table); a gradient adds the back-solve, the sensitivity
+    and, for ``ms`` and ``mv``, one solve of the P adjoint loads.  The last
+    candidate's evaluations are kept (``_keep_last``).  Work that does not
+    depend on the candidate (measured traces on the coarse boundary, the
+    fine-mesh interpolation and mass matrix) is done here, once.
     """
     if noise is not None and (noise.kind, kind) != ("coefficient",
                                                     "psi_sigma"):
@@ -464,22 +500,26 @@ def make_objective(meas: Measurements, coarse_mesh: TriMesh,
         # under coefficient noise the expectation over matrix perturbations
         # sits inside the squared difference; the mean over seeded draws
         # keeps it deterministic
-        def fn(abar):
+        def evaluate(abar):
             draws = [abar] if noise is None or noise.sigma == 0.0 \
                 else draw_matrix_perturbations(abar, noise)[0]
-            return _energy_mismatch(meas, model, draws)
-        return fn
+            return [model.evaluate(c) for c in draws]
+
+        def objective(coarse, grad):
+            return _energy_mismatch(meas, coarse, grad)
+        return _keep_last(evaluate, objective)
     if kind == "psi_max":
-        def fn(abar):
-            coarse = model.evaluate(abar)
+        def objective(coarse, grad):
             m, _ = assemble_m(meas, coarse, coarse_basis)
             lam_sq, v = psi_max_from_m(m)
+            if not grad:
+                return lam_sq, None
             # at the frozen extreme eigenvector, the surrogate part of v.M v
             # is the energy of the combined solution w = sum_p v_p u_p
             lam = float(v @ (m @ v))
             w = v @ coarse.values
             return lam_sq, lam * coarse.sensitivity(w, w)
-        return fn
+        return _keep_last(model.evaluate, objective)
     # The ms / mv descents minimize the trace of the mismatch Gram (the sum
     # of squared per-mode norms) rather than its largest eigenvalue: this is
     # the same sup -> sum-of-squares surrogate the energy strategy uses, it
@@ -506,12 +546,29 @@ def make_objective(meas: Measurements, coarse_mesh: TriMesh,
     else:
         raise ValueError(f"unknown objective kind {kind!r}")
 
-    def fn(abar):
-        coarse = model.evaluate(abar)
+    def objective(coarse, grad):
         diffs = data - (observe @ coarse.values.T).T
         weighted = weight @ diffs.T
+        value = float(np.trace(diffs @ weighted))
+        if not grad:
+            return value, None
         z = coarse.factor.solve(observe.T @ weighted).T
-        return float(np.trace(diffs @ weighted)), 2.0 * coarse.sensitivity(z)
+        return value, 2.0 * coarse.sensitivity(z)
+    return _keep_last(model.evaluate, objective)
+
+
+def _keep_last(evaluate: Callable[[SymMat], object],
+               objective: Callable[[object, bool], tuple]) -> Objective:
+    """The objective fn(abar, grad=True) = objective(evaluate(abar), grad).
+
+    The last candidate's evaluations are kept, keyed by its entries and
+    compared exactly, so the full call at an accepted point reuses the
+    factor of its value-only trial and evaluates nothing again.
+    """
+    evaluate = functools.lru_cache(maxsize=1)(evaluate)
+
+    def fn(abar: SymMat, grad: bool = True):
+        return objective(evaluate(abar), grad)
     return fn
 
 

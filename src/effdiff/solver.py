@@ -263,33 +263,47 @@ def boundary_load(mesh: TriMesh, mass: sp.spmatrix,
     return b
 
 
+def _compatible(b: np.ndarray, free: np.ndarray | slice,
+                weights: np.ndarray) -> np.ndarray:
+    """The free rows of the compatible load b - weights * sum(b) /
+    sum(weights), the load a Lagrange multiplier for weights @ u = 0 would
+    leave."""
+    w_free = weights[free].reshape((-1,) + (1,) * (b.ndim - 1))
+    return b[free] - w_free * (b.sum(axis=0) / weights.sum())
+
+
 class PinnedFactor:
     """A factored stiffness K whose kernel is the constants.
 
     Solutions are normalized by ``weights @ u = 0``.  One node is pinned to
     zero; a subclass factors K without it (symmetric positive definite for
     a coercive coefficient) and solves with that factor in ``_solve_free``.
-    A load b is first made compatible, b - weights * sum(b) / sum(weights),
-    the load a Lagrange multiplier for the constraint would leave; the
-    pinned solution is then shifted by a constant, so the choice of pinned
-    node only affects rounding.  A load of shape (nodes, k) is k loads,
-    solved at once and shifted column by column.
+    A load b is first made compatible (``_compatible``); the pinned
+    solution is then shifted by a constant (``_shift``), so the choice of
+    pinned node only affects rounding.  A load of shape (nodes, k) is k
+    loads, solved at once and shifted column by column.
     """
 
     def __init__(self, free: np.ndarray | slice, weights: np.ndarray):
         self._free = free   # every node but the pinned one
         self._weights = weights
 
-    def solve(self, b: np.ndarray) -> np.ndarray:
-        w, free = self._weights, self._free
-        w_free = w[free].reshape((-1,) + (1,) * (b.ndim - 1))
-        # column-major, the layout both factors solve in, so u.T is
-        # contiguous
-        u = np.zeros(b.shape, order="F")
-        u[free] = self._solve_free(b[free]
-                                   - w_free * (b.sum(axis=0) / w.sum()))
-        u -= (w @ u) / w.sum()
+    def _shift(self, u: np.ndarray) -> np.ndarray:
+        """u shifted in place by a constant to ``weights @ u = 0``."""
+        w = self._weights
+        # einsum, not a BLAS product, for the reason in PinnedBandCholesky
+        u -= np.einsum("n,n...->...", w, u) / w.sum()
         return u
+
+    def solve(self, b: np.ndarray) -> np.ndarray:
+        # column-major, the layout both factors solve in, so u.T is
+        # contiguous.  Allocated before the solve: allocated after it, the
+        # fine solutions no longer fit the heap's freed blocks, and the
+        # peak RSS of six n = 300 measurements rose by 8 MB.
+        u = np.zeros(b.shape, order="F")
+        u[self._free] = self._solve_free(
+            _compatible(b, self._free, self._weights))
+        return self._shift(u)
 
 
 class PinnedLU(PinnedFactor):
@@ -335,9 +349,21 @@ def unit_bands(n: int) -> np.ndarray:
     return bands
 
 
+# the band pins the last node of the natural order
+_BAND_FREE = slice(None, -1)
+
+
+def band_loads(b: np.ndarray, n: int) -> np.ndarray:
+    """Loads b (nodes, k) of the n-grid as ``PinnedBandCholesky.forward``
+    takes them: their compatible free rows, column-major.  They do not
+    depend on the factor, so a set of loads is prepared once."""
+    return np.asfortranarray(_compatible(b, _BAND_FREE, _neumann_setup(n)[1]))
+
+
 class PinnedBandCholesky(PinnedFactor):
-    """Banded Cholesky (LAPACK ``dpbtrf``) of the Neumann stiffness
-    a11 K11 + a12 K12 + a22 K22 of a constant matrix A on the n-grid.
+    """Banded Cholesky K = L L^T (LAPACK ``dpbtrf``) of the Neumann
+    stiffness a11 K11 + a12 K12 + a22 K22 of a constant matrix A on the
+    n-grid.
 
     The last node of the natural order is pinned, and solutions have zero
     boundary mean, as from ``NeumannSolver``.  The stiffness is a
@@ -346,29 +372,54 @@ class PinnedBandCholesky(PinnedFactor):
     SuperLU.  The lower band is used: below LAPACK's block size (half-
     bandwidth 32) its unblocked factorization updates contiguous columns,
     which OpenBLAS keeps on one thread, while the upper band's strided
-    updates wake every BLAS thread once per column.  Raises ValueError if
-    the band is not numerically positive definite.
+    updates wake every BLAS thread once per column.  A solve is split in
+    its two triangular halves: the energy b.K^+ b of a load is |L^-1 b|^2,
+    so ``forward`` alone gives energies, and ``back`` gives the solution
+    when it is needed.  Raises ValueError if the band is not numerically
+    positive definite.
+
+    Between factorizations the band path makes no numpy BLAS call (the
+    band sum, the energies, the mean shift and the gradient's inner
+    products are elementwise or ``einsum``): numpy's and scipy's OpenBLAS
+    keep separate thread pools, and numpy's threads left spinning stall
+    the blocked factorization's threaded triangular solves (kd >= 32, so
+    n >= 30).
     """
 
     def __init__(self, a: SymMat, n: int):
         _, weights = _neumann_setup(n)
-        super().__init__(slice(None, -1), weights)
-        # elementwise, not a BLAS product: numpy's and scipy's OpenBLAS keep
-        # separate thread pools, and numpy's threads left spinning stall the
-        # blocked factorization's threaded triangular solves (n = 71)
-        b11, b12, b22 = unit_bands(n)
-        band = (a.a11 * b11 + a.a12 * b12 + a.a22 * b22).T
-        self._band, info = lapack.dpbtrf(band, lower=1, overwrite_ab=1)
+        super().__init__(_BAND_FREE, weights)
+        # einsum forms the sum in one fresh buffer, without temporaries, and
+        # accumulates a11 B11 + a12 B12 + a22 B22 in that order, so the band
+        # is the same to the bit
+        band = np.einsum("k,kij->ij", (a.a11, a.a12, a.a22), unit_bands(n))
+        self._band, info = lapack.dpbtrf(band.T, lower=1, overwrite_ab=1)
         if info != 0:
             raise ValueError(f"banded Cholesky of {a} failed (LAPACK dpbtrf "
                              f"info = {info})")
 
-    def _solve_free(self, b: np.ndarray) -> np.ndarray:
-        x, info = lapack.dpbtrs(self._band, b.reshape(b.shape[0], -1),
-                                lower=1)
+    def _triangular(self, b: np.ndarray, trans: str) -> np.ndarray:
+        """L^-1 b (``trans`` "N") or L^-T b ("T") for b of shape (N - 1,
+        k), by LAPACK ``dtbtrs``."""
+        x, info = lapack.dtbtrs(self._band, b, uplo="L", trans=trans)
         if info != 0:
-            raise ValueError(f"LAPACK dpbtrs info = {info}")
-        return x.reshape(b.shape)
+            raise ValueError(f"LAPACK dtbtrs info = {info}")
+        return x
+
+    def forward(self, b: np.ndarray) -> np.ndarray:
+        """L^-1 b for loads b from ``band_loads``, shape (N - 1, k)."""
+        return self._triangular(b, "N")
+
+    def back(self, y: np.ndarray) -> np.ndarray:
+        """The normalized solution, shape (N, k), of the loads whose
+        ``forward`` is y."""
+        u = np.zeros((y.shape[0] + 1, y.shape[1]), order="F")
+        u[_BAND_FREE] = self._triangular(y, "T")
+        return self._shift(u)
+
+    def _solve_free(self, b: np.ndarray) -> np.ndarray:
+        y = self.forward(b.reshape(b.shape[0], -1))
+        return self._triangular(y, "T").reshape(b.shape)
 
 
 @functools.lru_cache(maxsize=2)

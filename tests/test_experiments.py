@@ -56,17 +56,18 @@ def small_measurements(a0=SymMat(10.0, 1.0, 6.0), n=12):
 def test_err_eps_q_zero_at_exact_fit():
     mesh, basis, meas = small_measurements()
     with pytest.warns(UserWarning, match="ridge"):
-        val = err_eps_q(SymMat(10.0, 1.0, 6.0), meas, mesh, basis)
+        val, ridge = err_eps_q(SymMat(10.0, 1.0, 6.0), meas, mesh, basis)
     assert val < 1e-7
+    assert ridge > 0.0
 
 
 def test_err_eps_q_dominates_single_mode():
     mesh, basis, meas = small_measurements()
     at = SymMat(12.0, 0.0, 7.0)
     with pytest.warns(UserWarning, match="ridge"):
-        full = err_eps_q(at, meas, mesh, basis)
-        one = err_eps_q(at, take_measurements(meas, 1), mesh,
-                        take_modes(basis, 1))
+        full, _ = err_eps_q(at, meas, mesh, basis)
+        one, _ = err_eps_q(at, take_measurements(meas, 1), mesh,
+                           take_modes(basis, 1))
     assert one <= full + 1e-10
 
 
@@ -76,7 +77,7 @@ def test_err_eps_q_is_max_over_sampled_ratios():
     mesh, basis, meas = small_measurements()
     at = SymMat(13.0, -0.5, 8.0)
     with pytest.warns(UserWarning, match="ridge"):
-        val = err_eps_q(at, meas, mesh, basis)
+        val, _ = err_eps_q(at, meas, mesh, basis)
     from effdiff.identify import CoarseModel
     from effdiff.mesh import interpolate_nodal
     from effdiff.solver import assemble_volume_mass
@@ -232,11 +233,19 @@ def test_records_report_how_the_descent_stopped(tmp_path):
         assert next(csv.reader(fh)) == list(CSV_COLUMNS)
     doc = json.loads((tmp_path / "out.json").read_text())["records"]
     assert doc[1]["strategy"] == "A_star"
-    assert doc[1]["termination"] is None and doc[1]["grad_norm"] is None
+    for key in ("termination", "grad_norm", "evaluations", "gradients"):
+        assert doc[1][key] is None, key
+    # both sweep rows computed err_eps_q on a regular Gram, without a ridge
+    assert "err_eps_q_ridge" in doc[0]
+    assert doc[0]["err_eps_q_ridge"] is None is doc[1]["err_eps_q_ridge"]
     for rec in doc[:1] + doc[2:]:
         assert rec["termination"] in ("gradient_small", "max_iters",
                                       "line_search_failed")
         assert rec["grad_norm"] >= 0.0
+        # a gradient at the start and at every accepted point; a value at
+        # the start and at every trial point
+        assert rec["gradients"] == rec["iters"] + 1
+        assert rec["evaluations"] >= rec["gradients"]
 
 
 def test_sweep_captures_per_record_errors():

@@ -1,13 +1,13 @@
 import numpy as np
 import pytest
 
-from effdiff.coefficients import SymMat, constant_field, \
+from effdiff.coefficients import SymMat, constant_field, mean_over_cell, \
     periodic_smooth_field, sample_checkerboard, scale_epsilon
-from effdiff.identify import CoarseModel, Measurements, NoiseSpec, \
-    apply_measurement_noise, assemble_m, descend, draw_matrix_perturbations, \
-    fd_gradient, identify, make_objective, me_ms_identity_check, \
-    one_d_noise_descent, one_d_noise_objective, one_d_noise_optimum, \
-    psi_max_from_m, simulate_measurements
+from effdiff.identify import CoarseEvaluation, CoarseModel, Measurements, \
+    NoiseSpec, apply_measurement_noise, assemble_m, descend, \
+    draw_matrix_perturbations, fd_gradient, identify, make_objective, \
+    me_ms_identity_check, one_d_noise_descent, one_d_noise_objective, \
+    one_d_noise_optimum, psi_max_from_m, simulate_measurements
 from effdiff.mesh import boundary_mass_matrix, build_unit_square_mesh, \
     interpolate_boundary, interpolation_matrix, zero_mean_project
 from effdiff.modes import affine_modes, compute_r_modes, modes_on_mesh
@@ -256,6 +256,65 @@ def test_one_surrogate_evaluation_per_objective_call(small_periodic_setup,
     assert len(calls) == spec.draws
 
 
+def _count_calls(monkeypatch, cls, name):
+    """The calls of method ``name`` of ``cls``, recorded from now on."""
+    calls = []
+    original = getattr(cls, name)
+
+    def counting(self, *args, **kwargs):
+        calls.append(args)
+        return original(self, *args, **kwargs)
+
+    monkeypatch.setattr(cls, name, counting)
+    return calls
+
+
+def test_full_call_reuses_the_value_only_evaluation(small_periodic_setup,
+                                                    coarse_mesh,
+                                                    monkeypatch):
+    meas = small_periodic_setup["meas"]
+    calls = _count_calls(monkeypatch, CoarseModel, "evaluate")
+    at, other = SymMat(19.0, 0.2, 12.0), SymMat(19.0, 0.2, 12.5)
+    for kind in ("psi_sigma", "psi_max", "ms", "mv"):
+        fn = make_objective(meas, coarse_mesh, kind)
+        calls.clear()
+        value, no_grad = fn(at, grad=False)
+        full, grad = fn(at)
+        assert len(calls) == 1, kind
+        assert no_grad is None and grad.shape == (3,)
+        assert full == value, kind
+        # another candidate is evaluated afresh
+        assert fn(other, grad=False)[0] != value
+        assert len(calls) == 2, kind
+
+
+def test_descent_trials_are_value_only(small_periodic_setup, coarse_mesh,
+                                       monkeypatch):
+    meas = small_periodic_setup["meas"]
+    fn = make_objective(meas, coarse_mesh)
+    evaluations = _count_calls(monkeypatch, CoarseModel, "evaluate")
+    back_solves = _count_calls(monkeypatch, PinnedBandCholesky, "back")
+    sensitivities = _count_calls(monkeypatch, CoarseEvaluation,
+                                 "sensitivity")
+    trials = []
+
+    def objective(a, grad=True):
+        if not grad:
+            trials.append(a)
+        return fn(a, grad=grad)
+
+    trace = descend(objective, mean_over_cell(periodic_smooth_field()),
+                    max_iters=20)
+    # some trials were rejected, so trials and accepted points differ
+    assert len(trials) > trace.iterations > 0
+    # one surrogate evaluation at the start and per trial
+    assert len(evaluations) == len(trials) + 1 == trace.evaluations
+    # psi_sigma reads the energies only, so the solutions are back-solved
+    # and the gradient formed only at the start and the accepted points
+    assert len(back_solves) == trace.iterations + 1
+    assert len(sensitivities) == trace.iterations + 1 == trace.gradients
+
+
 def test_gradient_vanishes_at_exact_fit(coarse_mesh):
     basis = affine_modes(coarse_mesh)
     a0 = SymMat(7.0, 1.5, 9.0)
@@ -316,7 +375,7 @@ def test_descent_first_step_capped():
     # synthetic quadratic objective over the matrix entries
     target = np.array([5.0, 0.0, 5.0])
 
-    def fn(a):
+    def fn(a, grad=True):
         d = a.vec() - target
         return 0.5 * float(d @ d), d
 
