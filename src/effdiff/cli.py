@@ -7,8 +7,9 @@ table, ``KEYS``, gives each config key its check and the runs that read it;
 a key that is unknown or that the run does not read is a schema violation.
 
 Exit codes: 0 success, 2 config file missing, 3 schema violation,
-4 mesh-size cap exceeded (the desk profile's, or in any profile the int32
-grid indices'), 1 any other runtime failure.
+4 size cap exceeded (mesh nodes: the desk profile's, or in any profile the
+int32 grid indices'; the points of ``one_d_profile`` in any profile),
+1 any other runtime failure.
 """
 
 from __future__ import annotations
@@ -28,7 +29,8 @@ from .coefficients import SymMat, constant_field, periodic_smooth_field, \
 from .experiments import CHECKERBOARD_STRATEGIES, DEFAULT_COARSE_H, \
     DEFAULT_R, ME_MS_CHECK_MAX_N, STRATEGIES, coarse_mesh_n, \
     coefficient_noise_study, fine_n, measurement_noise_study, one_d_profile, \
-    periodic_reference, record, resolve_p, sweep, write_csv, write_json
+    one_d_quad_points, periodic_reference, record, resolve_p, sweep, \
+    write_csv, write_json
 from .homogenization import checkerboard_exact, homogenized_matrix
 from .identify import me_ms_identity_check
 from .mesh import build_periodic_cell_mesh, build_unit_square_mesh
@@ -37,6 +39,8 @@ from .solver import MAX_GRID_NODES
 SCHEMA_VERSION = 1
 OUTPUT_ENV_VAR = "EFFDIFF_OUT_DIR"
 DESK_DOF_CAP = 4_000_000
+# quadrature points and candidates of one_d_profile, in any profile
+ONE_D_MAX_POINTS = 4_000_000
 
 EXIT_OK = 0
 EXIT_RUNTIME = 1
@@ -301,10 +305,11 @@ def _count(nodes: int) -> str:
 
 
 def dof_cap_error(cfg: RunConfig) -> str | None:
-    """Why the run exceeds a node cap on a fine, coarse or corrector-cell
-    mesh, if it does: the desk profile's, or in any profile the most nodes
-    a grid's int32 indices hold.  Raises ValueError, in any profile, for a
-    mesh whose subdivisions no float holds."""
+    """Why the run exceeds a size cap, if it does: a node cap on a fine,
+    coarse or corrector-cell mesh (the desk profile's, or in any profile
+    the most nodes a grid's int32 indices hold), or ``ONE_D_MAX_POINTS`` on
+    the quadrature points or grid candidates of ``one_d_profile``.  Raises
+    ValueError, in any profile, for a size that no float holds."""
     meshes = [("fine", f"eps = {eps}, r = {cfg.resolved_r()}", "Reduce r",
                cfg.fine_n(eps))
               for eps in (cfg.run_epsilons() if reads(cfg, "r") else ())]
@@ -325,6 +330,16 @@ def dof_cap_error(cfg: RunConfig) -> str | None:
             return (f"int32 grid indices cap {mesh}-mesh nodes at "
                     f"{MAX_GRID_NODES}; {setting} needs {_count(nodes)}. "
                     f"{remedy}.")
+    if cfg.experiment == "one_d_profile":
+        eps, count = cfg.epsilons[0], cfg.grid[2]
+        for what, setting, remedy, points in (
+                ("quadrature points", f"eps = {eps}", "Raise eps",
+                 one_d_quad_points(eps)),
+                ("grid candidates", f"a grid count of {count}",
+                 "Reduce the count", count)):
+            if points > ONE_D_MAX_POINTS:
+                return (f"one_d_profile caps {what} at {ONE_D_MAX_POINTS}; "
+                        f"{setting} needs {_count(points)}. {remedy}.")
     return None
 
 
@@ -441,7 +456,7 @@ def main(argv: list[str] | None = None) -> int:
 
     try:
         cap_error = dof_cap_error(cfg)
-    except ValueError as exc:    # a mesh size that no float count holds
+    except ValueError as exc:    # a size that no float holds
         print(f"error: invalid config: {exc}", file=sys.stderr)
         return EXIT_SCHEMA
     if cap_error:

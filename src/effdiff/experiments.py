@@ -22,16 +22,17 @@ from typing import Callable, Iterable, Sequence
 import numpy as np
 import scipy.linalg as sla
 
-from .coefficients import CoefficientField, SymMat, mean_over_cell, \
-    periodic_smooth_field, sample_checkerboard, scale_epsilon
+from .coefficients import CoefficientField, SymMat, constant_field, \
+    mean_over_cell, periodic_smooth_field, sample_checkerboard, scale_epsilon
 from .homogenization import checkerboard_exact, homogenized_matrix
 from .identify import CoarseModel, Measurements, NoiseSpec, \
-    OptimizerTrace, apply_measurement_noise, identify, \
+    OptimizerTrace, apply_measurement_noise, coarse_model, identify, \
     simulate_measurements, volume_setup
 from .mesh import TriMesh, build_periodic_cell_mesh, build_unit_square_mesh
 from .mesh import interpolate_nodal  # noqa: F401  (bench/child.py wraps it)
 from .modes import ModeBasis, affine_modes, choose_p, compute_r_modes, \
     modes_on_mesh
+from .solver import NeumannSolver
 
 CSV_COLUMNS = ["experiment", "strategy", "epsilon", "P", "Q", "r", "seed",
                "a11", "a12", "a22", "err_star", "err_eps_q", "psi_final",
@@ -53,7 +54,7 @@ ME_MS_CHECK_MAX_N = 128
 def _subdivisions(count: float, setting: str) -> int:
     """``count`` rounded up, or ValueError when no float holds it."""
     if not math.isfinite(count):
-        raise ValueError(f"{setting} asks for more mesh subdivisions than a "
+        raise ValueError(f"{setting} asks for more subdivisions than a "
                          f"float holds")
     return math.ceil(count)
 
@@ -134,16 +135,18 @@ def err_eps_q(abar: SymMat, meas: Measurements, coarse_mesh: TriMesh,
     and the ridge added to a singular measured-field Gram (None if none).
 
     The ratio of volume norms is maximized by the generalized eigenproblem
-    of the difference Gram against the measured-field Gram; the candidate
-    solution is interpolated onto the measurement mesh.  When that Gram is
-    numerically singular, 1e-12 of its mean diagonal is added to it, with
-    a warning.
+    of the difference Gram against the measured-field Gram.  The candidate's
+    coarse solutions come from one exact solve of the Q mode data, not from
+    a reduced surrogate, and are interpolated onto the measurement mesh.
+    When the measured-field Gram is numerically singular, 1e-12 of its mean
+    diagonal is added to it, with a warning.
     """
     interp, mass = volume_setup(meas, coarse_mesh)
     if coarse_basis is None:
         coarse_basis = modes_on_mesh(meas.basis, meas.mesh, coarse_mesh)
-    coarse = CoarseModel(coarse_mesh, coarse_basis).evaluate(abar)
-    diffs = meas.volume_fields - (interp @ coarse.values.T).T
+    u = NeumannSolver(coarse_mesh, constant_field(abar)).solve(
+        coarse_basis.modes.T)
+    diffs = meas.volume_fields - (interp @ u).T
     d = diffs @ (mass @ diffs.T)
     nmat = meas.volume_fields @ (mass @ meas.volume_fields.T)
 
@@ -177,6 +180,12 @@ def parallel_map(fn: Callable, items: Iterable, workers: int = 1) -> list:
 # ---------------------------------------------------------------------------
 # 1D profile
 
+def one_d_quad_points(eps: float) -> int:
+    """Midpoint-rule points of ``one_d_profile`` at ``eps``: 50 per
+    period, at least 20,000."""
+    return max(20_000, _subdivisions(50.0 / eps, f"eps = {eps}"))
+
+
 def one_d_profile(a_per: Callable[[np.ndarray], np.ndarray], eps: float,
                   abar_grid: Sequence[float],
                   quad_points: int | None = None) -> np.ndarray:
@@ -190,7 +199,7 @@ def one_d_profile(a_per: Callable[[np.ndarray], np.ndarray], eps: float,
     if np.any(grid <= 0.0):
         raise ValueError("candidate grid must be positive")
     if quad_points is None:
-        quad_points = max(20_000, int(math.ceil(50.0 / eps)))
+        quad_points = one_d_quad_points(eps)
     xs = (np.arange(quad_points) + 0.5) / quad_points
     vals = np.asarray(a_per(xs / eps), dtype=float)
     if np.any(vals <= 0.0):
@@ -220,17 +229,22 @@ def record(experiment: str, strategy: str, eps: float | None,
     return rec
 
 
-def _descent_fields(trace: OptimizerTrace | None) -> dict:
+def _descent_fields(trace: OptimizerTrace | None,
+                    model: CoarseModel | None) -> dict:
     """The final objective value and iterations of the descent behind a
-    record, how it stopped, and its objective values and gradients
-    computed (all None without a descent)."""
+    record, how it stopped, its objective values and gradients computed,
+    and the size, snapshots and enrichments of its surrogate ``model``
+    after it (all None without a descent)."""
     if trace is None:
         return dict.fromkeys(("psi_final", "iters", "termination",
-                              "grad_norm", "evaluations", "gradients"))
+                              "grad_norm", "evaluations", "gradients",
+                              "reduced_m", "snapshots", "enrichments"))
     return {"psi_final": trace.objective_values[-1],
             "iters": trace.iterations, "termination": trace.termination,
             "grad_norm": trace.gradient_norms[-1],
-            "evaluations": trace.evaluations, "gradients": trace.gradients}
+            "evaluations": trace.evaluations, "gradients": trace.gradients,
+            "reduced_m": model.m, "snapshots": model.snapshots,
+            "enrichments": model.enrichments}
 
 
 @lru_cache(maxsize=None)
@@ -263,8 +277,10 @@ def _identify_record(experiment: str, strategy: str, eps: float,
                      affine_field: CoefficientField | None = None,
                      **extra) -> dict:
     """The identification run of both test cases.  ``measure()`` gives the
-    Q-mode measurements (once per ``key`` in a ``meas_cache``), and
-    ME-affine measures ``affine_field`` on the affine family."""
+    Q-mode measurements, and ME-affine measures ``affine_field`` on the
+    affine family.  A ``meas_cache`` holds the measurements once per
+    ``key``, and the coarse surrogate once per key, coarse mesh and mode
+    family, so the strategies of one measurement share it."""
     p = resolve_p(eps, p)
     if q < p:
         raise ValueError(f"need Q >= P, got Q={q}, P={p}")
@@ -275,7 +291,7 @@ def _identify_record(experiment: str, strategy: str, eps: float,
     meas_q = meas_cache[key]
     coarse = build_unit_square_mesh(coarse_mesh_n(coarse_h))
 
-    abar, trace = a_star, None
+    abar, trace, model = a_star, None, None
     if strategy != "A_star":
         if strategy == "ME-affine":
             meas_p = simulate_measurements(meas_q.mesh, affine_field,
@@ -283,7 +299,11 @@ def _identify_record(experiment: str, strategy: str, eps: float,
                                            keep_fields=False)
         else:
             meas_p = take_measurements(meas_q, p)
-        trace = identify(meas_p, coarse, init,
+        model_key = (key, coarse.n, meas_p.basis.family, meas_p.count)
+        if model_key not in meas_cache:
+            meas_cache[model_key] = coarse_model(meas_p, coarse)
+        model = meas_cache[model_key]
+        trace = identify(meas_p, model, init,
                          objective=_strategy_objective(strategy))
         abar = trace.final
     erre, ridge = err_eps_q(abar, meas_q, coarse) if compute_err_eps_q \
@@ -293,7 +313,7 @@ def _identify_record(experiment: str, strategy: str, eps: float,
                   err_eps_q_ridge=ridge,
                   wall_ms=1000.0 * (time.perf_counter() - t0), **extra,
                   energies=[float(e) for e in meas_q.energies],
-                  **_descent_fields(trace))
+                  **_descent_fields(trace, model))
 
 
 def identify_periodic(eps: float, r: float = DEFAULT_R["periodic_smooth"],
@@ -305,7 +325,8 @@ def identify_periodic(eps: float, r: float = DEFAULT_R["periodic_smooth"],
     """One identification run on the periodic test field.
 
     Passing a dict as ``meas_cache`` reuses the fine-mesh measurements
-    across strategies for the same (eps, r, q).
+    across strategies for the same (eps, r, q), and their coarse
+    surrogate.
     """
     if strategy not in STRATEGIES:
         raise ValueError(f"unknown strategy {strategy!r}")
@@ -379,19 +400,22 @@ def identify_checkerboard(eps: float, r: float = DEFAULT_R["checkerboard"],
 # noise studies
 
 def _noise_record(experiment: str, eps: float, p: int, r: float,
-                  seed: int | None, trace: OptimizerTrace, t0: float,
-                  **extra) -> dict:
-    """The record of one noise-study descent started at ``t0``."""
+                  seed: int | None, trace: OptimizerTrace,
+                  model: CoarseModel, t0: float, **extra) -> dict:
+    """The record of one noise-study descent on ``model`` started at
+    ``t0``."""
     return record(experiment, "ME", eps, trace.final, P=p, r=r, seed=seed,
                   wall_ms=1000.0 * (time.perf_counter() - t0), **extra,
-                  **_descent_fields(trace))
+                  **_descent_fields(trace, model))
 
 
 def _noise_setup(experiment: str, eps: float, r: float, p: int | None,
                  coarse_h: float):
     """What both noise studies start from: (P, the P-mode measurements of
-    the periodic field, the coarse mesh, the initial guess, the noiseless
-    descent, [its sigma = 0 record])."""
+    the periodic field, their coarse surrogate, the initial guess, the
+    noiseless descent, [its sigma = 0 record]).  Every descent of the study
+    shares the one surrogate; the sigma = 0 record's time includes its
+    build."""
     p = resolve_p(eps, p)
     field = scale_epsilon(periodic_smooth_field(), eps)
     fine = build_unit_square_mesh(fine_n("periodic_smooth", eps, r))
@@ -400,9 +424,10 @@ def _noise_setup(experiment: str, eps: float, r: float, p: int | None,
     coarse = build_unit_square_mesh(coarse_mesh_n(coarse_h))
     init = mean_over_cell(periodic_smooth_field())
     t0 = time.perf_counter()
-    clean = identify(meas, coarse, init)
-    return p, meas, coarse, init, clean, [_noise_record(
-        experiment, eps, p, r, None, clean, t0, sigma=0.0,
+    model = coarse_model(meas, coarse)
+    clean = identify(meas, model, init)
+    return p, meas, model, init, clean, [_noise_record(
+        experiment, eps, p, r, None, clean, model, t0, sigma=0.0,
         rel_coeff_error=0.0)]
 
 
@@ -417,7 +442,7 @@ def measurement_noise_study(eps: float = 0.05,
     Records the relative distance of each noisy result to the noiseless
     one; the noiseless baseline appears as the sigma = 0 record.
     """
-    p, meas, coarse, init, clean, records = _noise_setup(
+    p, meas, model, init, clean, records = _noise_setup(
         "noise_measurement", eps, r, p, coarse_h)
     clean_norm = clean.final.frobenius()
     for sigma in sigmas:
@@ -426,13 +451,13 @@ def measurement_noise_study(eps: float = 0.05,
             seed = base_seed + k
             spec = NoiseSpec(kind="measurement", sigma=sigma, seed=seed)
             noisy = apply_measurement_noise(meas, spec)
-            trace = identify(noisy, coarse, init)
+            trace = identify(noisy, model, init)
             dv = trace.final.vec() - clean.final.vec()
             rel = math.sqrt(dv[0] ** 2 + 2 * dv[1] ** 2 + dv[2] ** 2) \
                 / clean_norm
             records.append(_noise_record(
                 f"noise_measurement:sigma={sigma}", eps, p, r, seed, trace,
-                t0, sigma=sigma, rel_coeff_error=rel))
+                model, t0, sigma=sigma, rel_coeff_error=rel))
     return records
 
 
@@ -442,18 +467,18 @@ def coefficient_noise_study(eps: float = 0.05,
                             m1: int = 10, base_seed: int = 0,
                             coarse_h: float = DEFAULT_COARSE_H) -> list[dict]:
     """Identify with random matrix perturbations inside the coarse solves."""
-    p, meas, coarse, init, clean, records = _noise_setup(
+    p, meas, model, init, clean, records = _noise_setup(
         "noise_coefficient", eps, r, p, coarse_h)
     t0 = time.perf_counter()
     spec = NoiseSpec(kind="coefficient", sigma=sigma, draws=m1,
                      seed=base_seed)
-    trace = identify(meas, coarse, init, noise=spec)
+    trace = identify(meas, model, init, noise=spec)
     d = trace.final.as_array() - clean.final.as_array()
     rel = float(np.linalg.norm(d, 2) / np.linalg.norm(
         clean.final.as_array(), 2))
     records.append(_noise_record(
-        f"noise_coefficient:sigma={sigma}", eps, p, r, base_seed, trace, t0,
-        sigma=sigma, M1=m1, rel_coeff_error=rel))
+        f"noise_coefficient:sigma={sigma}", eps, p, r, base_seed, trace,
+        model, t0, sigma=sigma, M1=m1, rel_coeff_error=rel))
     return records
 
 

@@ -5,29 +5,33 @@ family of boundary conditions.  The engine minimizes the mismatch between
 measured energies and those of a constant-coefficient surrogate on a coarse
 mesh, by Armijo gradient descent.  Baseline objectives built from boundary
 traces (surface measurements) and from full volume fields are included for
-comparison.  Every objective has an exact adjoint gradient: the surrogate
-stiffness is a11 K11 + a12 K12 + a22 K22, so its derivative in an entry is
-a unit stiffness, and each objective only supplies its adjoint states.  The
-surrogate is factored by banded Cholesky of that combination of cached
-bands; measurements and the single-mesh identity check go through
-``NeumannSolver``.  An objective returns its value and a function that
-forms the gradient from the same evaluation when called, so an Armijo trial
-costs a factorization and a forward solve (the energies are |L^-1 b|^2), and
-the back-solve and the gradient are paid at the accepted point only, on the
-factor its trial left.  Two noise mechanisms are implemented: multiplicative
+comparison.
+
+The surrogate is a certified reduced basis (``CoarseModel``), built once
+per coarse mesh and mode basis and shared by every descent on them: its
+stiffness a11 K11 + a12 K12 + a22 K22 is projected onto a Galerkin space of
+m snapshot solutions, so a candidate costs one dense m x m solve, and each
+energy comes with a bound on its distance to the full coarse surrogate.
+Every objective has the exact adjoint gradient of the reduced model: the
+derivative of its stiffness in an entry is a projected unit stiffness, and
+each objective only supplies its adjoint coordinates.  An objective returns
+its value and a function that forms the gradient from the same evaluation
+when called, so an Armijo trial pays for the value alone.  Measurements,
+the snapshots and the single-mesh identity check go through
+``NeumannSolver``.  Two noise mechanisms are implemented: multiplicative
 noise on the measured energies, and additive random perturbations of the
 candidate matrix inside the surrogate solves.
 """
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass, replace
 from typing import Callable, Sequence
 
 import numpy as np
 import scipy.linalg as sla
+from scipy.linalg import lapack
 import scipy.sparse as sp
 
 from .coefficients import CoefficientField, SymMat, constant_field
@@ -35,8 +39,8 @@ from .mesh import TriMesh, boundary_mass_matrix, interpolate_boundary, \
     interpolation_matrix, zero_mean_project
 from .mesh import interpolate_nodal  # noqa: F401  (bench/child.py wraps it)
 from .modes import ModeBasis, extreme_eigenpairs, fix_sign, modes_on_mesh
-from .solver import NeumannSolver, PinnedBandCholesky, \
-    assemble_volume_mass, band_loads, boundary_load, unit_stiffnesses
+from .solver import NeumannSolver, assemble_volume_mass, boundary_load, \
+    unit_stiffnesses
 
 
 # ---------------------------------------------------------------------------
@@ -83,54 +87,120 @@ def simulate_measurements(mesh: TriMesh, coeff: CoefficientField,
 
 
 # ---------------------------------------------------------------------------
-# coarse constant-coefficient surrogate
+# coarse constant-coefficient surrogate, reduced
 
-@dataclass
+# relative bound on the surrogate energies that every evaluation certifies
+ENERGY_TOL = 1e-11
+
+
+def _training_shapes() -> np.ndarray:
+    """Rows (a11, a12, a22) of the shapes the greedy trains on: trace 2 and
+    anisotropy at most 3, I + rho (cos t, sin t; sin t, -cos t) on the
+    rings rho = 1/8, 1/4, 3/8, 1/2, in 3 i + 1 angles on ring i over the
+    half-disk cos t >= 0 (a11 >= a22).  The mirrored snapshots cover the
+    other half."""
+    rows = [(1.0, 0.0, 1.0)]
+    for i in range(1, 5):
+        t = np.linspace(-0.5 * np.pi, 0.5 * np.pi, 3 * i + 1)
+        c, s = i / 8 * np.cos(t), i / 8 * np.sin(t)
+        rows.extend(zip(1.0 + c, s, 1.0 - c))
+    return np.array(rows)
+
+
+_TRAINING = _training_shapes()
+
+
+def _border(a: np.ndarray, c: np.ndarray, d: np.ndarray) -> np.ndarray:
+    """The symmetric block matrix [[a, c], [c^T, d]] (of each matrix of a
+    stack)."""
+    return np.block([[a, c], [c.swapaxes(-1, -2), d]])
+
+
+def _split(a: np.ndarray) -> tuple[float, float, float]:
+    """(s, d, e) of a = (a11, a12, a22): K(A) = s K(I) + d D + e K12 with
+    s = (a11 + a22) / 2, d = (a11 - a22) / 2, e = a12 and D = K11 - K22."""
+    return 0.5 * (a[0] + a[2]), 0.5 * (a[0] - a[2]), a[1]
+
+
+@dataclass(frozen=True)
 class CoarseEvaluation:
-    """The surrogate at one candidate: its factor, the forward solves of
-    the mode loads and their energies.  The solutions (``values``) and
-    their traces cost a back-solve, done on first use."""
+    """The reduced surrogate at one candidate.
+
+    Mode p's solution is V x_p, with its Galerkin coordinates x_p the
+    columns of ``coords``; ``compliance`` is B_r^T x, the surrogate cross
+    table, whose diagonal is -2 energies; ``bound[p]`` bounds the error of
+    energy p against the full coarse surrogate.  ``basis`` (V) and
+    ``units`` (V^T D V and V^T K12 V; V^T K(I) V is the identity) are the
+    model's space when it was evaluated.
+    """
 
     abar: SymMat
-    energies: np.ndarray       # (P,)
-    forward: np.ndarray        # (N - 1, P): L^-1 of the compatible loads
-    model: CoarseModel         # mesh, boundary mass and mode loads
-    factor: PinnedBandCholesky  # the candidate's factorization
+    coords: np.ndarray       # (m, P)
+    compliance: np.ndarray   # (P, P)
+    bound: np.ndarray        # (P,)
+    basis: np.ndarray        # (nodes, m)
+    units: np.ndarray        # (2, m, m)
 
-    @functools.cached_property
-    def values(self) -> np.ndarray:
-        """Nodal solutions of the P mode loads, shape (P, num_nodes)."""
-        return self.factor.back(self.forward).T
+    @property
+    def energies(self) -> np.ndarray:
+        return -0.5 * np.diagonal(self.compliance)
 
-    @functools.cached_property
-    def traces(self) -> np.ndarray:
-        """Boundary traces of the solutions, shape (P, nb)."""
-        return self.values[:, self.model.mesh.boundary_loop]
+    def solutions(self) -> np.ndarray:
+        """Nodal solutions V x_p of the P mode loads, shape (nodes, P)."""
+        return self.basis @ self.coords
+
+    def solve(self, rhs: np.ndarray) -> np.ndarray:
+        """Coordinates K_r^-1 rhs of reduced loads rhs (m, k)."""
+        s, d, e = _split(self.abar.vec())
+        k_r = d * self.units[0] + e * self.units[1]
+        k_r.flat[::k_r.shape[0] + 1] += s
+        return np.linalg.solve(k_r, rhs)
 
     def sensitivity(self, z: np.ndarray,
-                    u: np.ndarray | None = None) -> np.ndarray:
-        """[sum_k z_k.K11 u_k, sum_k z_k.K12 u_k, sum_k z_k.K22 u_k].
+                    x: np.ndarray | None = None) -> np.ndarray:
+        """[sum_p z_p.K11_r x_p, sum_p z_p.K12_r x_p, sum_p z_p.K22_r x_p]
+        for coordinates z and x (m, k), x by default the solutions'.
 
-        The surrogate stiffness is a11 K11 + a12 K12 + a22 K22, so its
-        derivative in each entry is a unit stiffness, and the derivative of
-        a solution is u' = -K^+ K_ij u.  An objective's gradient is this
-        form of its adjoint states z against the solutions u (default: the
-        evaluated ones), times its chain-rule factor.
+        The reduced stiffness is a11 K11_r + a12 K12_r + a22 K22_r, so the
+        derivative of the coordinates in an entry is x' = -K_r^-1 K_ij,r x.
+        An objective's gradient, exact for the reduced model, is this form
+        of its adjoint coordinates z, times its chain-rule factor.  In the
+        K(I)-orthonormal basis K11_r = (I + D_r) / 2 and K22_r = (I - D_r)
+        / 2.
         """
-        z = np.atleast_2d(z)
-        u = self.values if u is None else np.atleast_2d(u)
-        # einsum, not BLAS vdot, for the reason in PinnedBandCholesky
-        return np.array([np.einsum("pn,np->", z, k @ u.T)
-                         for k in unit_stiffnesses(self.model.mesh.n)])
+        x = self.coords if x is None else x
+        zx, zdx, zex = np.einsum("ip,kip->k", z, np.stack([x, *(
+            self.units @ x)]))
+        return np.array([0.5 * (zx + zdx), zex, 0.5 * (zx - zdx)])
 
 
 class CoarseModel:
-    """Per-candidate solves of the constant-coefficient surrogate.
+    """The constant-coefficient surrogate of one mode basis on the coarse
+    mesh, as a certified reduced basis (Prud'homme et al., J. Fluids Eng.
+    124, 2002; Abdulle & Bai, J. Comput. Phys. 231, 2012).
 
-    Holds the coarse mesh, the mode basis and the modes' nodal loads, made
-    compatible once; each candidate matrix costs one banded Cholesky
-    factorization and one forward solve of all P loads at once, which gives
-    the energies.  The solutions cost a back-solve more, when first read.
+    The stiffness is affine in A, K(A) = s K(I) + d D + e K12 (``_split``),
+    and the solutions of the P mode loads B are homogeneous of degree -1 in
+    A, so they depend on the shape of A alone.  The Galerkin space V holds
+    snapshots K(A)^+ B and their mirror images under (x, y) -> (y, x),
+    which solve at the mirrored shape (a22, a12, a11) when the span of the
+    modes is mirror-symmetric.  V is orthonormal in the K(I) inner product,
+    so orthogonal to the constants, and its reduced stiffness is
+    s I + d D_r + e K12_r: an evaluation costs one dense m x m solve.
+
+    Every energy comes with a bound.  Galerkin orthogonality gives
+    E_r - E = |u - u_r|^2_K / 2 >= 0, and K(A) >= lambda_min(A) K(I), so
+    |E_r - E| <= |r|^2_{K(I)^+} / (2 lambda_min(A)) for the residual
+    r = b - K(A) V x.  Its dual norm is a quadratic form in x whose
+    matrices are cached with the space (the offline/online split).
+
+    The greedy starts from A = I, whose factor also applies K(I)^+, and
+    adds the snapshot of the training shape of largest relative bound until
+    every other one is within ``ENERGY_TOL``.  A candidate whose bound exceeds it
+    adds its own snapshot (``enrichments``) before it is returned, so every
+    energy an evaluation returns is certified.  ``snapshots`` counts the
+    shapes factored.  A model changes as it is enriched: share it within
+    one thread only.
     """
 
     def __init__(self, coarse_mesh: TriMesh, basis: ModeBasis):
@@ -140,19 +210,135 @@ class CoarseModel:
         self.basis = basis
         self.boundary_mass = boundary_mass_matrix(coarse_mesh)
         self.loads = boundary_load(coarse_mesh, self.boundary_mass,
-                                   basis.modes.T)   # (num_nodes, P)
-        self._band_loads = band_loads(self.loads, coarse_mesh.n)
+                                   basis.modes.T)   # (nodes, P)
+        n = coarse_mesh.n
+        self._k11, self._k12, k22 = unit_stiffnesses(n)
+        self._k_identity, self._d = self._k11 + k22, self._k11 - k22
+        node = np.arange((n + 1) ** 2)
+        self._mirror = node // (n + 1) + node % (n + 1) * (n + 1)
+        self._identity = NeumannSolver(coarse_mesh,
+                                       constant_field(SymMat.identity()))
+        self._b_dual = self._identity.solve(basis.modes.T)   # K(I)^+ B
+        self._bb = np.einsum("np,np->p", self.loads, self._b_dual)
+        nodes, p = self.loads.shape
+        self._v = np.empty((nodes, 0))        # V
+        self._units = np.empty((2, 0, 0))     # V^T D V, V^T K12 V
+        self._br = np.empty((0, p))           # V^T B
+        # B^T K(I)^+ D V and B^T K(I)^+ K12 V; the Grams in K(I)^+ of DV
+        # with itself, of DV with K12 V (symmetrized), and of K12 V
+        self._h = np.empty((2, p, 0))
+        self._g = np.empty((3, 0, 0))
+        self.snapshots, self.enrichments = 1, 0
+        self._extend(self._b_dual)
+        # the shapes not yet in V; the first is I
+        shapes = list(_TRAINING[1:])
+        while shapes:
+            rel = [np.max(bound / np.abs(np.diagonal(compliance)))
+                   for _, compliance, bound in map(self._solve, shapes)]
+            worst = int(np.argmax(rel))
+            if rel[worst] <= ENERGY_TOL:
+                break
+            self._snapshot(shapes.pop(worst))
+
+    @property
+    def m(self) -> int:
+        """Dimension of the reduced space."""
+        return self._v.shape[1]
+
+    def _snapshot(self, shape: np.ndarray) -> None:
+        """Add the exact solutions at ``shape`` and their mirror images."""
+        u = NeumannSolver(self.mesh, constant_field(SymMat.from_vec(
+            shape))).solve(self.basis.modes.T)
+        self.snapshots += 1
+        self._extend(np.hstack([u, u[self._mirror]]))
+
+    def _extend(self, u: np.ndarray) -> None:
+        """Add the span of the columns of u to V and extend the cached
+        projections by its new directions.  A direction of K(I)-norm below
+        1e-8 of the largest column's, whose energy is below 1e-16 of it,
+        is dropped."""
+        old = self.m
+        k_i = self._k_identity
+        floor = 1e-16 * np.max(np.einsum("ni,ni->i", u, k_i @ u))
+        for _ in range(2):   # Gram-Schmidt in K(I) against V, twice
+            u = u - self._v @ (self._v.T @ (k_i @ u))
+            w, q = np.linalg.eigh(u.T @ (k_i @ u))
+            u = u @ (q[:, w > floor] / np.sqrt(w[w > floor]))
+        s = u.shape[1]
+        if not s:
+            return
+        v = np.hstack([self._v, u])
+        yd, ye = self._d @ u, self._k12 @ u
+        # K(I)^+ D u = 2 K(I)^+ K11 u - u, as D = 2 K11 - K(I) and u has
+        # zero boundary mean
+        dual = self._identity.solve_load(np.hstack([self._k11 @ u, ye]))
+        zd, ze = 2.0 * dual[:, :s] - u, dual[:, s:]
+        vd, ve = v.T @ yd, v.T @ ye
+        self._units = _border(self._units, np.stack([vd[:old], ve[:old]]),
+                              np.stack([vd[old:], ve[old:]]))
+        self._h = np.concatenate([self._h, np.stack(
+            [self._b_dual.T @ yd, self._b_dual.T @ ye])], axis=2)
+        # the old columns against the new duals: (D v_j).z = v_j.D z
+        vt, d, k12 = self._v.T, self._d, self._k12
+        cross = np.stack([vt @ (d @ zd), 0.5 * vt @ (d @ ze + k12 @ zd),
+                          vt @ (k12 @ ze)])
+        corner = np.stack([yd.T @ zd, 0.5 * (yd.T @ ze + ye.T @ zd),
+                           ye.T @ ze])
+        self._g = _border(self._g, cross, corner)
+        self._br = np.vstack([self._br, u.T @ self.loads])
+        self._v = v
+
+    def _solve(self, shape: np.ndarray):
+        """The reduced solve at ``shape`` = (a11, a12, a22): the
+        coordinates (m, P), the compliance (P, P) and the energy bounds
+        (P,)."""
+        m = self.m
+        s, d, e = _split(shape)
+        k_r = (np.array([d, e]) @ self._units.reshape(2, -1)).reshape(m, m)
+        k_r.flat[::m + 1] += s
+        # k_r is symmetric, so its transpose is the Fortran-ordered matrix
+        # that LAPACK factors in place
+        _, x, info = lapack.dposv(k_r.T, self._br, overwrite_a=1)
+        if info:
+            raise np.linalg.LinAlgError(
+                f"reduced stiffness at {shape} is not positive definite")
+        compliance = self._br.T @ x
+        # K(I)^+ r = K(I)^+ b - s V x - d K(I)^+ D V x - e K(I)^+ K12 V x;
+        # with s x + d D_r x + e K12_r x = b_r, its K(I)-norm squared is
+        # b.K(I)^+ b - 2 x.(d h_D + e h_E) - s^2 x.x + x.G(d, e) x
+        quad = (np.array([d * d, 2.0 * d * e, e * e])
+                @ self._g.reshape(3, -1)).reshape(m, m)
+        r2 = self._bb - 2.0 * np.einsum("pi,ip->p", d * self._h[0]
+                                        + e * self._h[1], x) \
+            - s * s * np.einsum("ip,ip->p", x, x) \
+            + np.einsum("ip,ip->p", x, quad @ x)
+        bound = np.maximum(r2, 0.0) / (2.0 * (s - math.hypot(d, e)))
+        return x, compliance, bound
 
     def evaluate(self, abar: SymMat) -> CoarseEvaluation:
         if not abar.is_spd():
             raise ValueError(f"candidate {abar} is not positive definite")
-        factor = PinnedBandCholesky(abar, self.mesh.n)
-        y = factor.forward(self._band_loads)
-        # the stored energy -1/2 <g, u|boundary> of each mode is -1/2 b.u =
-        # -1/2 |L^-1 b|^2 for the compatible load b
-        energies = -0.5 * np.einsum("np,np->p", y, y)
-        return CoarseEvaluation(abar=abar, energies=energies, forward=y,
-                                model=self, factor=factor)
+        a = abar.vec()
+        x, compliance, bound = self._solve(a)
+        if np.any(bound > 0.5 * ENERGY_TOL * np.abs(np.diagonal(compliance))):
+            self._snapshot(a)
+            self.enrichments += 1
+            x, compliance, bound = self._solve(a)
+        return CoarseEvaluation(abar=abar, coords=x, compliance=compliance,
+                                bound=bound, basis=self._v, units=self._units)
+
+
+def coarse_model(meas: Measurements, coarse_mesh: TriMesh) -> CoarseModel:
+    """The surrogate of ``meas`` on ``coarse_mesh``: its mode basis carried
+    to the coarse mesh."""
+    if meas.mesh is not None:
+        basis = modes_on_mesh(meas.basis, meas.mesh, coarse_mesh)
+    elif meas.basis.mesh_n == coarse_mesh.n:
+        basis = meas.basis
+    else:
+        raise ValueError("measurements without a mesh need a mode basis on "
+                         "the coarse mesh")
+    return CoarseModel(coarse_mesh, basis)
 
 
 # ---------------------------------------------------------------------------
@@ -163,8 +349,8 @@ Point = tuple[float, Callable[[], np.ndarray]]
 Objective = Callable[[SymMat], Point]
 
 
-def assemble_m(meas: Measurements, coarse: CoarseEvaluation,
-               coarse_basis: ModeBasis) -> tuple[np.ndarray, bool]:
+def assemble_m(meas: Measurements,
+               coarse: CoarseEvaluation) -> tuple[np.ndarray, bool]:
     """The P x P mismatch matrix; (matrix, diagonal_only) pair.
 
     Entry (p, q) is half the boundary inner product of mode q with the
@@ -176,12 +362,11 @@ def assemble_m(meas: Measurements, coarse: CoarseEvaluation,
     if meas.cross is None:
         delta = meas.energies - coarse.energies
         return np.diag(-delta), True
-    mb = coarse.model.boundary_mass
-    # s_coarse[p, q], like meas.cross[p, q], pairs mode p with the trace
-    # driven by q, so meas.cross.T is oriented the other way; the average
-    # with the transpose makes the orientation of either table irrelevant
-    s_coarse = coarse_basis.modes @ (mb @ coarse.traces.T)
-    m = 0.5 * (meas.cross.T - s_coarse)
+    # the surrogate's cross table pairs mode p with the trace driven by q,
+    # b_p.u_q: its compliance.  meas.cross[p, q] is oriented the same way,
+    # so meas.cross.T the other way; the average with the transpose makes
+    # the orientation of either table irrelevant
+    m = 0.5 * (meas.cross.T - coarse.compliance)
     return 0.5 * (m + m.T), False
 
 
@@ -221,14 +406,15 @@ def _energy_mismatch(meas: Measurements,
 
     The candidates are the point itself or the point plus fixed offsets,
     so the gradient in the point is the mean over the candidates.  A
-    surrogate energy is E = -b.K^+ b / 2 for the mode's load b, so
-    dE/da_ij = u.K_ij u / 2, and the chain rule through the squared gap
-    delta supplies -2 delta: the adjoint state of mode p is delta_p u_p.
+    surrogate energy is E = -b_r.x / 2 for the mode's reduced load b_r, so
+    dE/da_ij = x.K_ij,r x / 2, and the chain rule through the squared gap
+    delta supplies -2 delta: the adjoint coordinates of mode p are
+    delta_p x_p.
     """
     delta = meas.energies - sum(c.energies for c in coarse) / len(coarse)
 
     def gradient():
-        g = sum(c.sensitivity(delta[:, None] * c.values) for c in coarse)
+        g = sum(c.sensitivity(delta * c.coords) for c in coarse)
         return -g / len(coarse)
     return float(delta @ delta), gradient
 
@@ -461,37 +647,27 @@ def descend(objective: Objective, init: SymMat, max_iters: int = 200,
     return trace
 
 
-def make_objective(meas: Measurements, coarse_mesh: TriMesh,
+def make_objective(meas: Measurements, model: CoarseModel,
                    kind: str = "psi_sigma",
-                   noise: NoiseSpec | None = None,
-                   coarse_basis: ModeBasis | None = None) -> Objective:
+                   noise: NoiseSpec | None = None) -> Objective:
     """Bundle an objective with its exact gradient for the descent loop.
 
     ``fn(abar)`` returns the value and a function that forms the gradient
-    from the same surrogate evaluation when called.  Every gradient is
-    taken through the surrogate stiffness a11 K11 + a12 K12 + a22 K22
-    (``CoarseEvaluation.sensitivity``).  A value costs one surrogate
-    evaluation (one per draw under coefficient noise), plus the back-solve
-    where it reads the solutions (``ms``, ``mv``, and ``psi_max`` with a
-    cross table); a gradient adds the back-solve, the sensitivity and, for
-    ``ms`` and ``mv``, one solve of the P adjoint loads.  Work that does
-    not depend on the candidate (measured traces on the coarse boundary,
-    the fine-mesh interpolation and mass matrix) is done here, once.
+    from the same surrogate evaluation when called.  Every value costs one
+    evaluation of the reduced ``model`` (one per draw under coefficient
+    noise), and every gradient is the exact one of the reduced model,
+    through its stiffness a11 K11_r + a12 K12_r + a22 K22_r
+    (``CoarseEvaluation.sensitivity``).  The nodal solutions are formed
+    only where they are read (``ms``, ``mv``), and ``ms`` and ``mv``
+    solve for their reduced adjoint coordinates.  Work that does not depend
+    on the candidate (measured traces on the coarse boundary, the
+    fine-mesh interpolation and mass matrix) is done here, once.
     """
     if noise is not None and (noise.kind, kind) != ("coefficient",
                                                     "psi_sigma"):
         raise ValueError(f"only coefficient noise on psi_sigma enters the "
                          f"objective, got {noise.kind} noise on {kind}; "
                          f"measurement noise goes into the measurements")
-    if coarse_basis is None:
-        if meas.mesh is not None:
-            coarse_basis = modes_on_mesh(meas.basis, meas.mesh, coarse_mesh)
-        elif meas.basis.mesh_n == coarse_mesh.n:
-            coarse_basis = meas.basis
-        else:
-            raise ValueError("measurements without a mesh need a coarse-mesh "
-                             "mode basis")
-    model = CoarseModel(coarse_mesh, coarse_basis)
 
     if kind == "psi_sigma":
         # under coefficient noise the expectation over matrix perturbations
@@ -505,15 +681,15 @@ def make_objective(meas: Measurements, coarse_mesh: TriMesh,
     if kind == "psi_max":
         def psi_max(abar):
             coarse = model.evaluate(abar)
-            m, _ = assemble_m(meas, coarse, coarse_basis)
+            m, _ = assemble_m(meas, coarse)
             lam_sq, v = psi_max_from_m(m)
 
             def gradient():
                 # at the frozen extreme eigenvector, the surrogate part of
-                # v.M v is the energy of the combined solution
-                # w = sum_p v_p u_p
+                # v.M v is the energy of the combined solution with
+                # coordinates w = sum_p v_p x_p
                 lam = float(v @ (m @ v))
-                w = v @ coarse.values
+                w = (coarse.coords @ v)[:, None]
                 return lam * coarse.sensitivity(w, w)
             return lam_sq, gradient
         return psi_max
@@ -526,8 +702,9 @@ def make_objective(meas: Measurements, coarse_mesh: TriMesh,
     # fit sum_k |data_k - L u_k|_W^2 through a linear observation L: the
     # restriction to the boundary loop in the boundary mass (ms), or the
     # interpolation onto the measurement mesh in its volume mass (mv).  With
-    # residuals d_k, the adjoint state of mode k solves K z_k = L^T W d_k,
-    # and the gradient is 2 sum_k z_k.K_ij u_k.
+    # residuals d_k and u_k = V x_k, the adjoint coordinates of mode k solve
+    # K_r z_k = V^T L^T W d_k, and the gradient is 2 sum_k z_k.K_ij,r x_k.
+    coarse_mesh = model.mesh
     if kind == "ms":
         data = _measured_traces(meas, coarse_mesh)
         # 0/1 entries, so the observed traces are the nodal values exactly;
@@ -545,24 +722,23 @@ def make_objective(meas: Measurements, coarse_mesh: TriMesh,
 
     def least_squares(abar):
         coarse = model.evaluate(abar)
-        diffs = data - (observe @ coarse.values.T).T
+        diffs = data - (observe @ coarse.solutions()).T
         weighted = weight @ diffs.T
 
         def gradient():
-            z = coarse.factor.solve(observe.T @ weighted).T
+            z = coarse.solve(coarse.basis.T @ (observe.T @ weighted))
             return 2.0 * coarse.sensitivity(z)
         return float(np.trace(diffs @ weighted)), gradient
     return least_squares
 
 
-def identify(meas: Measurements, coarse_mesh: TriMesh, init: SymMat,
+def identify(meas: Measurements, model: CoarseModel, init: SymMat,
              objective: str = "psi_sigma",
              noise: NoiseSpec | None = None,
-             coarse_basis: ModeBasis | None = None,
              **options) -> OptimizerTrace:
-    """End-to-end identification: build the objective and run the descent."""
-    fn = make_objective(meas, coarse_mesh, kind=objective, noise=noise,
-                        coarse_basis=coarse_basis)
+    """End-to-end identification: build the objective on the surrogate
+    ``model`` and run the descent."""
+    fn = make_objective(meas, model, kind=objective, noise=noise)
     return descend(fn, init, **options)
 
 

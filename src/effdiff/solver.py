@@ -3,18 +3,11 @@
 Both problems have the constants as kernel.  Every factorization pins one
 node to zero and restores the zero boundary mean (Neumann) or zero cell
 average (corrector) by subtracting a constant, which matches the continuous
-normalization of the solution space; ``PinnedFactor`` holds that
-normalization once, and two factorizations sit under it:
-
-- ``PinnedLU``, SuperLU in its minimum-degree order with diagonal pivots,
-  serves every solve with a variable coefficient (fine meshes, the
-  corrector) and ``NeumannSolver`` for any field.  It is the one that
-  scales.
-- ``PinnedBandCholesky``, LAPACK's banded Cholesky in natural order, serves
-  the coarse surrogate, which factors thousands of constant matrices on one
-  small grid.  Its stiffness is a combination of three cached bands, and
-  the band's N n^2 work beats SuperLU's per-factorization set-up at those
-  sizes.
+normalization of the solution space.  ``PinnedLU``, SuperLU in its
+minimum-degree order with diagonal pivots, is the one sparse factorization:
+it serves the fine meshes, the corrector and every ``NeumannSolver``,
+including the few coarse constant-coefficient solves behind the reduced
+surrogate of ``identify.CoarseModel``.
 
 Coefficients are sampled once per triangle at the barycenter (one-point
 quadrature), which is exact for piecewise-constant checkerboard fields on
@@ -42,8 +35,8 @@ constraint weights are uniform.
 Work that does not depend on the coefficient is done once per grid size n,
 since the nodes and triangles of both mesh builders depend on n alone: the
 layouts, the boundary mass and constraint, and the stiffnesses of the three
-unit coefficients (and their bands), from which a constant coefficient's
-stiffness is a linear combination.
+unit coefficients, from which a constant coefficient's stiffness is a
+linear combination.
 """
 
 from __future__ import annotations
@@ -54,9 +47,8 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
-from scipy.linalg import lapack
 
-from .coefficients import CoefficientField, SymMat
+from .coefficients import CoefficientField
 from .mesh import CELL_TRIANGLES, TriMesh, boundary_mass_matrix, \
     build_unit_square_mesh
 
@@ -208,9 +200,7 @@ def _barycenters(n: int) -> np.ndarray:
 def _stiffness_entries(a11, a12, a22):
     """``entry(s, a, b)`` of the local stiffness, for ``GridLayout.assemble``,
     of the coefficient entries a_ij per triangle: arrays (2, n, n) over shape
-    and cell [j, i], or (2, 1, 1) for a constant.  The entries are formed
-    elementwise, not by a BLAS product, for the reason in
-    ``PinnedBandCholesky``."""
+    and cell [j, i], or (2, 1, 1) for a constant."""
     coefficients = (a11, a12, a22)
 
     def entry(s, a, b):
@@ -263,163 +253,45 @@ def boundary_load(mesh: TriMesh, mass: sp.spmatrix,
     return b
 
 
-def _compatible(b: np.ndarray, free: np.ndarray | slice,
-                weights: np.ndarray) -> np.ndarray:
-    """The free rows of the compatible load b - weights * sum(b) /
-    sum(weights), the load a Lagrange multiplier for weights @ u = 0 would
-    leave."""
-    w_free = weights[free].reshape((-1,) + (1,) * (b.ndim - 1))
-    return b[free] - w_free * (b.sum(axis=0) / weights.sum())
+class PinnedLU:
+    """Sparse LU (SuperLU) of a stiffness K whose kernel is the constants.
 
-
-class PinnedFactor:
-    """A factored stiffness K whose kernel is the constants.
-
-    Solutions are normalized by ``weights @ u = 0``.  One node is pinned to
-    zero; a subclass factors K without it (symmetric positive definite for
-    a coercive coefficient) and solves with that factor in ``_solve_free``.
-    A load b is first made compatible (``_compatible``); the pinned
-    solution is then shifted by a constant (``_shift``), so the choice of
-    pinned node only affects rounding.  A load of shape (nodes, k) is k
-    loads, solved at once and shifted column by column.
-    """
-
-    def __init__(self, free: np.ndarray | slice, weights: np.ndarray):
-        self._free = free   # every node but the pinned one
-        self._weights = weights
-
-    def _shift(self, u: np.ndarray) -> np.ndarray:
-        """u shifted in place by a constant to ``weights @ u = 0``."""
-        w = self._weights
-        # einsum, not a BLAS product, for the reason in PinnedBandCholesky
-        u -= np.einsum("n,n...->...", w, u) / w.sum()
-        return u
-
-    def solve(self, b: np.ndarray) -> np.ndarray:
-        # column-major, the layout both factors solve in, so u.T is
-        # contiguous.  Allocated before the solve: allocated after it, the
-        # fine solutions no longer fit the heap's freed blocks, and the
-        # peak RSS of six n = 300 measurements rose by 8 MB.
-        u = np.zeros(b.shape, order="F")
-        u[self._free] = self._solve_free(
-            _compatible(b, self._free, self._weights))
-        return self._shift(u)
-
-
-class PinnedLU(PinnedFactor):
-    """Sparse LU (SuperLU) of a stiffness K, any coefficient.
-
-    Unknown ``pin`` of K is pinned, and K on the others is factored with
-    diagonal pivots in SuperLU's minimum-degree order of K + K^T (Liu, ACM
-    TOMS 11, 1985).
+    Solutions are normalized by ``weights @ u = 0``.  Unknown ``pin`` of K
+    is pinned to zero, and K on the others (symmetric positive definite for
+    a coercive coefficient) is factored with diagonal pivots in SuperLU's
+    minimum-degree order of K + K^T (Liu, ACM TOMS 11, 1985).  A load b is
+    first made compatible, b - weights * sum(b) / sum(weights), the load a
+    Lagrange multiplier for the constraint would leave; the pinned solution
+    is then shifted by a constant, so the choice of pinned node only
+    affects rounding.  A load of shape (nodes, k) is k loads, solved at
+    once.
     """
 
     def __init__(self, k: sp.csr_matrix, pin: int, weights: np.ndarray):
-        free = np.delete(np.arange(k.shape[0]), pin)
-        super().__init__(free, weights)
+        self._free = np.delete(np.arange(k.shape[0]), pin)
+        self._weights = weights
         # the slice is a copy with its own pattern.  A diagonal
         # coefficient's diagonal couplings are stored as exact zeros;
         # dropping them keeps them out of the fill (-39% at n = 300).
-        k = k[free][:, free]
+        k = k[self._free][:, self._free]
         k.eliminate_zeros()
         # k is symmetric, so k.T is k in CSC form, without a copy
         self._lu = spla.splu(k.T, permc_spec="MMD_AT_PLUS_A",
                              diag_pivot_thresh=0.0,
                              options={"SymmetricMode": True})
         self.nnz = self._lu.nnz
-        self._solve_free = self._lu.solve
 
-
-@functools.lru_cache(maxsize=2)
-def unit_bands(n: int) -> np.ndarray:
-    """K11, K12 and K22 of the n-grid without its last node, banded.
-
-    In natural order node i + j (n + 1) couples only to nodes at most
-    n + 2 away, its diagonal neighbours, so the half-bandwidth is n + 2.
-    ``bands[k, j, i - j] = K_k[i, j]`` for j <= i <= j + n + 2: the
-    transpose of ``bands[k]`` is LAPACK's lower band storage, column-major,
-    so a combination of the three is factored in place.
-    """
-    kd = n + 2
-    bands = np.zeros((3, (n + 1) ** 2 - 1, kd + 1))
-    for band, k in zip(bands, unit_stiffnesses(n)):
-        lower = sp.tril(k[:-1, :-1]).tocoo()
-        band[lower.col, lower.row - lower.col] = lower.data
-    bands.flags.writeable = False
-    return bands
-
-
-# the band pins the last node of the natural order
-_BAND_FREE = slice(None, -1)
-
-
-def band_loads(b: np.ndarray, n: int) -> np.ndarray:
-    """Loads b (nodes, k) of the n-grid as ``PinnedBandCholesky.forward``
-    takes them: their compatible free rows, column-major.  They do not
-    depend on the factor, so a set of loads is prepared once."""
-    return np.asfortranarray(_compatible(b, _BAND_FREE, _neumann_setup(n)[1]))
-
-
-class PinnedBandCholesky(PinnedFactor):
-    """Banded Cholesky K = L L^T (LAPACK ``dpbtrf``) of the Neumann
-    stiffness a11 K11 + a12 K12 + a22 K22 of a constant matrix A on the
-    n-grid.
-
-    The last node of the natural order is pinned, and solutions have zero
-    boundary mean, as from ``NeumannSolver``.  The stiffness is a
-    combination of three cached bands, so nothing is assembled per matrix,
-    and at the coarse surrogate's sizes the band factors faster than
-    SuperLU.  The lower band is used: below LAPACK's block size (half-
-    bandwidth 32) its unblocked factorization updates contiguous columns,
-    which OpenBLAS keeps on one thread, while the upper band's strided
-    updates wake every BLAS thread once per column.  A solve is split in
-    its two triangular halves: the energy b.K^+ b of a load is |L^-1 b|^2,
-    so ``forward`` alone gives energies, and ``back`` gives the solution
-    when it is needed.  Raises ValueError if the band is not numerically
-    positive definite.
-
-    Between factorizations the band path makes no numpy BLAS call (the
-    band sum, the energies, the mean shift and the gradient's inner
-    products are elementwise or ``einsum``): numpy's and scipy's OpenBLAS
-    keep separate thread pools, and numpy's threads left spinning stall
-    the blocked factorization's threaded triangular solves (kd >= 32, so
-    n >= 30).
-    """
-
-    def __init__(self, a: SymMat, n: int):
-        _, weights = _neumann_setup(n)
-        super().__init__(_BAND_FREE, weights)
-        # einsum forms the sum in one fresh buffer, without temporaries, and
-        # accumulates a11 B11 + a12 B12 + a22 B22 in that order, so the band
-        # is the same to the bit
-        band = np.einsum("k,kij->ij", (a.a11, a.a12, a.a22), unit_bands(n))
-        self._band, info = lapack.dpbtrf(band.T, lower=1, overwrite_ab=1)
-        if info != 0:
-            raise ValueError(f"banded Cholesky of {a} failed (LAPACK dpbtrf "
-                             f"info = {info})")
-
-    def _triangular(self, b: np.ndarray, trans: str) -> np.ndarray:
-        """L^-1 b (``trans`` "N") or L^-T b ("T") for b of shape (N - 1,
-        k), by LAPACK ``dtbtrs``."""
-        x, info = lapack.dtbtrs(self._band, b, uplo="L", trans=trans)
-        if info != 0:
-            raise ValueError(f"LAPACK dtbtrs info = {info}")
-        return x
-
-    def forward(self, b: np.ndarray) -> np.ndarray:
-        """L^-1 b for loads b from ``band_loads``, shape (N - 1, k)."""
-        return self._triangular(b, "N")
-
-    def back(self, y: np.ndarray) -> np.ndarray:
-        """The normalized solution, shape (N, k), of the loads whose
-        ``forward`` is y."""
-        u = np.zeros((y.shape[0] + 1, y.shape[1]), order="F")
-        u[_BAND_FREE] = self._triangular(y, "T")
-        return self._shift(u)
-
-    def _solve_free(self, b: np.ndarray) -> np.ndarray:
-        y = self.forward(b.reshape(b.shape[0], -1))
-        return self._triangular(y, "T").reshape(b.shape)
+    def solve(self, b: np.ndarray) -> np.ndarray:
+        w, free = self._weights, self._free
+        w_free = w[free].reshape((-1,) + (1,) * (b.ndim - 1))
+        # column-major, the layout SuperLU solves in, so u.T is contiguous.
+        # Allocated before the solve: allocated after it, the fine
+        # solutions no longer fit the heap's freed blocks, and the peak RSS
+        # of six n = 300 measurements rose by 8 MB.
+        u = np.zeros(b.shape, order="F")
+        u[free] = self._lu.solve(b[free] - w_free * (b.sum(axis=0) / w.sum()))
+        u -= np.einsum("n,n...->...", w, u) / w.sum()
+        return u
 
 
 @functools.lru_cache(maxsize=2)
@@ -464,7 +336,12 @@ class NeumannSolver:
                 f"boundary datum has nonzero boundary mean "
                 f"({np.max(np.abs(mean)):.3e}); the pure-Neumann problem "
                 "is incompatible")
-        return self._lu.solve(boundary_load(self.mesh, self.boundary_mass, g))
+        return self.solve_load(boundary_load(self.mesh, self.boundary_mass, g))
+
+    def solve_load(self, b: np.ndarray) -> np.ndarray:
+        """Nodal solution with zero boundary mean of nodal loads b (nodes,
+        k), made compatible first."""
+        return self._lu.solve(b)
 
     def trace(self, u: np.ndarray) -> np.ndarray:
         return u[self.mesh.boundary_loop]

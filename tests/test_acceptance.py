@@ -120,13 +120,13 @@ def test_07_adjoint_gradients(small_periodic_setup, coarse_mesh):
         model = CoarseModel(coarse_mesh, cb)
         rng = np.random.default_rng(7)
         for kind in ("psi_sigma", "psi_max"):
-            fn = make_objective(meas, coarse_mesh, kind, coarse_basis=cb)
+            fn = make_objective(meas, model, kind)
             checked = 0
             while checked < 10:
                 at = random_spd(rng, lo=5.0, hi=35.0)
                 if kind == "psi_max":
                     coarse = model.evaluate(at)
-                    m, _ = assemble_m(meas, coarse, cb)
+                    m, _ = assemble_m(meas, coarse)
                     ev = np.sort(np.abs(np.linalg.eigvalsh(m)))
                     if ev[-1] - ev[-2] < 1e-3 * ev[-1]:
                         continue
@@ -146,7 +146,7 @@ def test_08_descent_properties():
         rng = np.random.default_rng(8)
         for _ in range(5):
             init = random_spd(rng, lo=3.0, hi=40.0)
-            trace = identify(meas, mesh, init, coarse_basis=basis,
+            trace = identify(meas, CoarseModel(mesh, basis), init,
                              grad_tol=1e-14, max_iters=500)
             vals = trace.objective_values
             assert all(b <= a for a, b in zip(vals, vals[1:]))

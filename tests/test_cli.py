@@ -214,6 +214,36 @@ def test_one_d_profile_run_writes_outputs(tmp_path, capsys):
     assert doc["config"]["experiment"] == "one_d_profile"
 
 
+@pytest.mark.parametrize("overrides, exit_code, message", [
+    # a run would ask np.linspace for 1e12 candidates
+    pytest.param({"grid": [1.0, 3.0, 1_000_000_000_000]}, EXIT_DOF_CAP,
+                 "caps grid candidates at 4000000; a grid count of "
+                 "1000000000000 needs 1.000e+12. Reduce the count.",
+                 id="grid-1e12"),
+    pytest.param({"grid": [1.0, 3.0, 4_000_001]}, EXIT_DOF_CAP,
+                 "caps grid candidates", id="grid-cap+1"),
+    pytest.param({"grid": [1.0, 3.0, 4_000_000]}, EXIT_OK, None,
+                 id="grid-cap"),
+    # ceil(50 / eps) midpoint-rule points: 5e10 at eps = 1e-9
+    pytest.param({"epsilons": [1e-9]}, EXIT_DOF_CAP,
+                 "caps quadrature points at 4000000; eps = 1e-09 needs "
+                 "5.000e+10. Raise eps.", id="eps-1e-9"),
+    pytest.param({"epsilons": [1.25e-5]}, EXIT_OK, None, id="eps-cap"),
+    # 50 / eps overflows a float
+    pytest.param({"epsilons": [1e-320]}, EXIT_SCHEMA,
+                 "more subdivisions than a float holds", id="eps-1e-320")])
+def test_one_d_profile_sizes_are_capped(tmp_path, capsys, overrides,
+                                        exit_code, message):
+    # checked through --validate only: none of these is ever run
+    path = write_config(tmp_path, base_doc(**overrides))
+    assert main([path, "--validate"]) == exit_code
+    err = capsys.readouterr().err
+    if message is None:
+        assert err == ""
+    else:
+        assert message in err
+
+
 def test_output_env_var(tmp_path, monkeypatch):
     out = tmp_path / "nested"
     monkeypatch.setenv(OUTPUT_ENV_VAR, str(out))

@@ -13,7 +13,7 @@ from effdiff.experiments import CSV_COLUMNS, DEFAULT_R, checkerboard_mean, \
     coarse_mesh_n, err_eps_q, err_star, fine_mesh_n, identify_checkerboard, \
     one_d_profile, parallel_map, sweep, take_measurements, take_modes, \
     write_csv, write_json
-from effdiff.identify import simulate_measurements
+from effdiff.identify import CoarseModel, simulate_measurements
 from effdiff.mesh import build_unit_square_mesh
 from effdiff.modes import affine_modes
 
@@ -78,13 +78,13 @@ def test_err_eps_q_is_max_over_sampled_ratios():
     at = SymMat(13.0, -0.5, 8.0)
     with pytest.warns(UserWarning, match="ridge"):
         val, _ = err_eps_q(at, meas, mesh, basis)
-    from effdiff.identify import CoarseModel
+    from effdiff.coefficients import constant_field
     from effdiff.mesh import interpolate_nodal
-    from effdiff.solver import assemble_volume_mass
-    coarse = CoarseModel(mesh, basis).evaluate(at)
+    from effdiff.solver import NeumannSolver, assemble_volume_mass
+    u = NeumannSolver(mesh, constant_field(at)).solve(basis.modes.T)
     mass = assemble_volume_mass(mesh)
     diffs = np.array([meas.volume_fields[k]
-                      - interpolate_nodal(mesh, coarse.values[k], mesh.nodes)
+                      - interpolate_nodal(mesh, u[:, k], mesh.nodes)
                       for k in range(meas.count)])
     rng = np.random.default_rng(2)
     worst = 0.0
@@ -246,6 +246,53 @@ def test_records_report_how_the_descent_stopped(tmp_path):
         # the start and at every trial point
         assert rec["gradients"] == rec["iters"] + 1
         assert rec["evaluations"] >= rec["gradients"]
+
+
+def _count_models(monkeypatch):
+    """The CoarseModel constructions from now on."""
+    built = []
+    init = CoarseModel.__init__
+
+    def counting(self, *args, **kwargs):
+        built.append(self)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(CoarseModel, "__init__", counting)
+    return built
+
+
+def test_noise_study_descents_share_one_surrogate(monkeypatch):
+    built = _count_models(monkeypatch)
+    records = experiments.measurement_noise_study(
+        eps=0.25, r=4.0, p=3, sigmas=(0.05, 0.1), draws=2, coarse_h=0.2)
+    assert len(records) == 5 and len(built) == 1
+    model = built[0]
+    # each record reports the shared model as its descent left it
+    assert records[-1]["reduced_m"] == model.m
+    assert records[-1]["snapshots"] == model.snapshots
+    assert records[-1]["enrichments"] == model.enrichments
+    for rec in records:
+        # the greedy's snapshots, and those its enrichments added since
+        assert 0 < rec["reduced_m"] <= model.m
+        assert rec["snapshots"] - rec["enrichments"] \
+            == model.snapshots - model.enrichments
+    built.clear()
+    experiments.coefficient_noise_study(eps=0.25, r=4.0, p=3, sigma=0.5,
+                                        m1=2, coarse_h=0.2)
+    assert len(built) == 1
+
+
+def test_sweep_strategies_share_one_surrogate(monkeypatch):
+    built = _count_models(monkeypatch)
+    records = sweep([0.25], ["ME", "MS", "A_star"], coefficient="checkerboard",
+                    r=2.0, p=3, q=3, m1=2, coarse_h=0.2)
+    assert [r["strategy"] for r in records] == ["ME", "MS", "A_star"]
+    assert "error" not in records[0] and "error" not in records[1]
+    # ME and MS descend on one surrogate; A_star descends on none
+    assert len(built) == 1
+    assert records[1]["snapshots"] >= records[0]["snapshots"] >= 1
+    for key in ("reduced_m", "snapshots", "enrichments"):
+        assert records[2][key] is None, key
 
 
 def test_sweep_captures_per_record_errors():

@@ -3,17 +3,18 @@ import pytest
 
 from effdiff.coefficients import SymMat, constant_field, mean_over_cell, \
     periodic_smooth_field, sample_checkerboard, scale_epsilon
-from effdiff.identify import CoarseEvaluation, CoarseModel, Measurements, \
-    NoiseSpec, apply_measurement_noise, assemble_m, descend, \
-    draw_matrix_perturbations, fd_gradient, identify, make_objective, \
-    me_ms_identity_check, one_d_noise_descent, one_d_noise_objective, \
-    one_d_noise_optimum, psi_max_from_m, simulate_measurements
+from effdiff.identify import ENERGY_TOL, CoarseEvaluation, CoarseModel, \
+    Measurements, NoiseSpec, apply_measurement_noise, assemble_m, \
+    coarse_model, descend, draw_matrix_perturbations, fd_gradient, identify, \
+    make_objective, me_ms_identity_check, one_d_noise_descent, \
+    one_d_noise_objective, one_d_noise_optimum, psi_max_from_m, \
+    simulate_measurements
 from effdiff.mesh import boundary_mass_matrix, build_unit_square_mesh, \
     interpolate_boundary, interpolation_matrix, zero_mean_project
 from effdiff.modes import affine_modes, compute_r_modes, modes_on_mesh
 import effdiff.solver as solver_module
-from effdiff.solver import NeumannSolver, PinnedBandCholesky, \
-    assemble_stiffness, assemble_volume_mass
+from effdiff.solver import NeumannSolver, assemble_stiffness, \
+    assemble_volume_mass
 
 from conftest import random_spd
 
@@ -71,11 +72,88 @@ def test_coarse_energy_affine_exactness(coarse_mesh):
 def test_coarse_model_rejects_indefinite(coarse_mesh):
     basis = affine_modes(coarse_mesh)
     model = CoarseModel(coarse_mesh, basis)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="not positive definite"):
         model.evaluate(SymMat(1.0, 5.0, 1.0))
-    # the factorization itself refuses a band that is not positive definite
-    with pytest.raises(ValueError, match="dpbtrf"):
-        PinnedBandCholesky(SymMat(1.0, 5.0, 1.0), coarse_mesh.n)
+
+
+def _exact(mesh, basis, a):
+    """Energies and nodal solutions of the full coarse surrogate at a."""
+    solver = NeumannSolver(mesh, constant_field(a))
+    u = solver.solve(basis.modes.T)
+    return np.array([solver.energy(g, v) for g, v in zip(basis.modes, u.T)]), u
+
+
+def _anisotropic(rng, kappa):
+    """A seeded SPD matrix of eigenvalues in (1, 40) and anisotropy at most
+    kappa, in a random orientation."""
+    while True:
+        lo, hi = np.sort(np.exp(rng.uniform(0.0, np.log(40.0), 2)))
+        if hi <= kappa * lo:
+            break
+    t = rng.uniform(0.0, np.pi)
+    c, s = np.cos(t), np.sin(t)
+    return SymMat(lo * c * c + hi * s * s, (lo - hi) * c * s,
+                  lo * s * s + hi * c * c)
+
+
+@pytest.fixture(scope="module")
+def reduced(coarse_mesh):
+    basis = compute_r_modes(coarse_mesh, 3)
+    return basis, CoarseModel(coarse_mesh, basis)
+
+
+def test_reduced_energies_are_certified(coarse_mesh, reduced):
+    basis, model = reduced
+    rng = np.random.default_rng(200)
+    for _ in range(200):
+        a = _anisotropic(rng, 3.0)
+        out = model.evaluate(a)
+        exact, _ = _exact(coarse_mesh, basis, a)
+        err = out.energies - exact
+        # Galerkin: the reduced energy lies above the exact one, by at most
+        # the bound, and the bound is within the tolerance.  The exact
+        # solve's forward error grows like cond(A) (n + 1)^2: 9e-13 of the
+        # energy for cond(A) = 3
+        lo, hi = a.eigenvalues()
+        slack = 1e-15 * (hi / lo) * coarse_mesh.num_nodes * np.abs(exact)
+        assert np.all(err >= -slack), a
+        assert np.all(err <= out.bound + slack), a
+        assert np.all(out.bound <= ENERGY_TOL * np.abs(out.energies)), a
+
+
+def test_reduced_solutions_within_their_energy_bound(coarse_mesh, reduced):
+    # |u - u_r|_K^2 = 2 (E_r - E) <= 2 bound: the drift of the solutions
+    # that MS and MV read is certified in the energy norm
+    basis, model = reduced
+    rng = np.random.default_rng(7)
+    for _ in range(5):
+        a = _anisotropic(rng, 3.0)
+        out = model.evaluate(a)
+        _, u = _exact(coarse_mesh, basis, a)
+        e = u - out.solutions()
+        k = assemble_stiffness(coarse_mesh, constant_field(a))
+        norm2 = np.einsum("np,np->p", e, k @ e)
+        lo, hi = a.eigenvalues()
+        assert np.all(norm2 <= 2.0 * out.bound + 2e-15 * (hi / lo)
+                      * coarse_mesh.num_nodes * np.abs(out.energies)), a
+
+
+def test_candidate_outside_the_training_region_enriches(coarse_mesh):
+    basis = compute_r_modes(coarse_mesh, 3)
+    model = CoarseModel(coarse_mesh, basis)
+    m, snapshots = model.m, model.snapshots
+    assert model.enrichments == 0
+    a = SymMat(30.0, 5.0, 8.0)   # anisotropy 4.6
+    out = model.evaluate(a)
+    assert model.enrichments == 1 and model.snapshots == snapshots + 1
+    assert model.m > m
+    exact, _ = _exact(coarse_mesh, basis, a)
+    assert np.all(np.abs(out.energies - exact)
+                  <= ENERGY_TOL * np.abs(exact))
+    # the candidate is now in the space: evaluated again, it enriches
+    # nothing
+    model.evaluate(a)
+    assert model.enrichments == 1
 
 
 def _near_singular(rng, ratio):
@@ -84,7 +162,7 @@ def _near_singular(rng, ratio):
 
 
 @pytest.mark.parametrize("n", [8, 29, 71])
-def test_banded_surrogate_matches_neumann_solver(n):
+def test_reduced_surrogate_matches_neumann_solver(n):
     mesh = build_unit_square_mesh(n)
     basis = compute_r_modes(mesh, 5)
     model = CoarseModel(mesh, basis)
@@ -93,29 +171,22 @@ def test_banded_surrogate_matches_neumann_solver(n):
         _near_singular(rng, ratio) for ratio in (0.99, 0.999, 0.9999)]
     for a in candidates:
         out = model.evaluate(a)
-        ref_solver = NeumannSolver(mesh, constant_field(a))
-        ref = ref_solver.solve(basis.modes.T).T
-        ref_energies = [ref_solver.energy(g, u)
-                        for g, u in zip(basis.modes, ref)]
-        # two backward-stable factorizations agree to the forward error of
-        # the pinned system: rounding times its condition number, which
-        # grows like cond(A) (n + 1)^2 (1e-12 at n = 29 for cond(A) = 1)
+        exact, u = _exact(mesh, basis, a)
+        # the exact solve's forward error grows like cond(A) (n + 1)^2
         lo, hi = a.eigenvalues()
-        tol = 1e-15 * (hi / lo) * mesh.num_nodes
-        for got, want in ((out.energies, ref_energies), (out.values, ref),
-                          (out.traces, ref[:, mesh.boundary_loop])):
-            assert np.abs(got - want).max() <= tol * np.abs(want).max(), a
-        # and the banded solution solves the surrogate system itself
-        k = assemble_stiffness(mesh, constant_field(a))
-        residual = k @ out.values.T - model.loads
-        assert np.abs(residual).max() <= 1e-12 * np.abs(k).max() \
-            * np.abs(out.values).max()
+        slack = 1e-15 * (hi / lo) * mesh.num_nodes * np.abs(exact)
+        assert np.all(np.abs(out.energies - exact)
+                      <= ENERGY_TOL * np.abs(exact) + slack), a
+        # the surrogate cross table is the compliance b_p.u_q
+        cross = model.loads.T @ u
+        assert np.abs(out.compliance - cross).max() \
+            <= 2.0 * (ENERGY_TOL + slack.max()) * np.abs(cross).max(), a
 
 
 def test_coarse_evaluation_assembles_nothing_and_builds_no_solver(
         coarse_mesh, monkeypatch):
     def forbidden(*args, **kwargs):
-        raise AssertionError("the coarse surrogate left the banded path")
+        raise AssertionError("the coarse surrogate left its reduced space")
 
     model = CoarseModel(coarse_mesh, compute_r_modes(coarse_mesh, 3))
     monkeypatch.setattr(solver_module.NeumannSolver, "__init__", forbidden)
@@ -129,7 +200,7 @@ def test_m_diagonal_is_energy_gap(small_periodic_setup, coarse_mesh):
     cb = modes_on_mesh(meas.basis, meas.mesh, coarse_mesh)
     model = CoarseModel(coarse_mesh, cb)
     coarse = model.evaluate(SymMat(20.0, 0.0, 12.0))
-    m, diag_only = assemble_m(meas, coarse, cb)
+    m, diag_only = assemble_m(meas, coarse)
     assert not diag_only
     delta = meas.energies - coarse.energies
     assert np.abs(np.diag(m) + delta).max() < 1e-12
@@ -137,7 +208,7 @@ def test_m_diagonal_is_energy_gap(small_periodic_setup, coarse_mesh):
     # without the cross table only the diagonal survives, flagged
     meas_nc = Measurements(basis=meas.basis, energies=meas.energies,
                            mesh=meas.mesh)
-    m2, diag_only2 = assemble_m(meas_nc, coarse, cb)
+    m2, diag_only2 = assemble_m(meas_nc, coarse)
     assert diag_only2
     assert np.abs(m2 - np.diag(-delta)).max() < 1e-12
 
@@ -149,7 +220,7 @@ def test_m_vanishes_at_reproducing_candidate(coarse_mesh):
     meas = simulate_measurements(coarse_mesh, constant_field(a0), basis)
     model = CoarseModel(coarse_mesh, basis)
     coarse = model.evaluate(a0)
-    m, _ = assemble_m(meas, coarse, basis)
+    m, _ = assemble_m(meas, coarse)
     assert np.abs(m).max() < 1e-12
 
 
@@ -180,11 +251,10 @@ def test_psi_sigma_single_mode_equals_psi_max(coarse_mesh):
     from effdiff.experiments import take_measurements
     meas1 = take_measurements(meas, 1)
     at = SymMat(6.0, 0.0, 3.5)
-    coarse = CoarseModel(coarse_mesh, meas1.basis).evaluate(at)
-    m, _ = assemble_m(meas1, coarse, meas1.basis)
+    model = CoarseModel(coarse_mesh, meas1.basis)
+    m, _ = assemble_m(meas1, model.evaluate(at))
     val, _ = psi_max_from_m(m)
-    psi_sigma, _ = make_objective(meas1, coarse_mesh,
-                                  coarse_basis=meas1.basis)(at)
+    psi_sigma, _ = make_objective(meas1, model)(at)
     assert abs(val - psi_sigma) < 1e-12
 
 
@@ -192,9 +262,9 @@ def test_psi_sigma_relates_to_m_diagonal(small_periodic_setup, coarse_mesh):
     meas = small_periodic_setup["meas"]
     cb = modes_on_mesh(meas.basis, meas.mesh, coarse_mesh)
     at = SymMat(21.0, 0.5, 11.0)
-    coarse = CoarseModel(coarse_mesh, cb).evaluate(at)
-    m, _ = assemble_m(meas, coarse, cb)
-    psi_sigma, _ = make_objective(meas, coarse_mesh, coarse_basis=cb)(at)
+    model = CoarseModel(coarse_mesh, cb)
+    m, _ = assemble_m(meas, model.evaluate(at))
+    psi_sigma, _ = make_objective(meas, model)(at)
     assert abs(psi_sigma - float(np.sum(np.diag(m) ** 2))) < 1e-12
 
 
@@ -206,11 +276,12 @@ def test_adjoint_gradients_match_finite_differences(small_periodic_setup,
     meas = small_periodic_setup["meas"]
     noise = NoiseSpec(kind="coefficient", sigma=1.0, draws=3, seed=5)
     rng = np.random.default_rng(17)
+    model = coarse_model(meas, coarse_mesh)
     for kind, spec, tol in (("psi_sigma", None, 1e-4),
                             ("psi_max", None, 1e-4),
                             ("ms", None, 1e-6), ("mv", None, 1e-6),
                             ("psi_sigma", noise, 1e-6)):
-        fn = make_objective(meas, coarse_mesh, kind, noise=spec)
+        fn = make_objective(meas, model, kind, noise=spec)
         checked = 0
         while checked < 4:
             at = random_spd(rng, lo=5.0, hi=35.0)
@@ -220,10 +291,7 @@ def test_adjoint_gradients_match_finite_differences(small_periodic_setup,
             if kind == "psi_max":
                 # skip points too close to an eigenvalue crossing, where
                 # the objective is only directionally differentiable
-                cb = modes_on_mesh(meas.basis, meas.mesh, coarse_mesh)
-                model = CoarseModel(coarse_mesh, cb)
-                coarse = model.evaluate(at)
-                m, _ = assemble_m(meas, coarse, cb)
+                m, _ = assemble_m(meas, model.evaluate(at))
                 ev = np.sort(np.abs(np.linalg.eigvalsh(m)))
                 if ev[-1] - ev[-2] < 1e-3 * ev[-1]:
                     continue
@@ -243,14 +311,15 @@ def test_one_surrogate_evaluation_per_objective_call(small_periodic_setup,
         return evaluate(self, abar)
 
     monkeypatch.setattr(CoarseModel, "evaluate", counting)
+    model = coarse_model(meas, coarse_mesh)
     at = SymMat(19.0, 0.2, 12.0)
     for kind in ("psi_sigma", "psi_max", "ms", "mv"):
-        fn = make_objective(meas, coarse_mesh, kind)
+        fn = make_objective(meas, model, kind)
         calls.clear()
         fn(at)
         assert len(calls) == 1, kind
     spec = NoiseSpec(kind="coefficient", sigma=1.0, draws=4, seed=3)
-    fn = make_objective(meas, coarse_mesh, noise=spec)
+    fn = make_objective(meas, model, noise=spec)
     calls.clear()
     fn(at)
     assert len(calls) == spec.draws
@@ -272,29 +341,42 @@ def _count_calls(monkeypatch, cls, name):
 def test_gradient_reuses_the_value_evaluation(small_periodic_setup,
                                               coarse_mesh, monkeypatch):
     meas = small_periodic_setup["meas"]
+    model = coarse_model(meas, coarse_mesh)
     calls = _count_calls(monkeypatch, CoarseModel, "evaluate")
-    back_solves = _count_calls(monkeypatch, PinnedBandCholesky, "back")
+    solutions = _count_calls(monkeypatch, CoarseEvaluation, "solutions")
+    adjoints = _count_calls(monkeypatch, CoarseEvaluation, "solve")
+    sensitivities = _count_calls(monkeypatch, CoarseEvaluation,
+                                 "sensitivity")
+    factors = _count_calls(monkeypatch, NeumannSolver, "__init__")
     at, other = SymMat(19.0, 0.2, 12.0), SymMat(19.0, 0.2, 12.5)
     for kind in ("psi_sigma", "psi_max", "ms", "mv"):
-        fn = make_objective(meas, coarse_mesh, kind)
-        calls.clear()
-        back_solves.clear()
+        fn = make_objective(meas, model, kind)
+        for log in (calls, solutions, adjoints, sensitivities):
+            log.clear()
         value, gradient = fn(at)
-        # psi_sigma's value reads the energies only: no back-solve yet
-        assert len(back_solves) == (kind != "psi_sigma"), kind
+        # only ms and mv read nodal solutions, formed once from the
+        # reduced coordinates
+        assert len(solutions) == (kind in ("ms", "mv")), kind
         assert gradient().shape == (3,)
-        assert len(calls) == 1 and len(back_solves) == 1, kind
+        # the gradient reuses the evaluation: no further evaluation or
+        # nodal solution, one sensitivity, and for ms and mv one reduced
+        # adjoint solve
+        assert len(calls) == 1 and len(sensitivities) == 1, kind
+        assert len(solutions) == (kind in ("ms", "mv")), kind
+        assert len(adjoints) == (kind in ("ms", "mv")), kind
         # another candidate is evaluated afresh
         assert fn(other)[0] != value
         assert len(calls) == 2, kind
+    # inside the trained region no evaluation factored a snapshot
+    assert factors == []
 
 
 def test_descent_trials_are_value_only(small_periodic_setup, coarse_mesh,
                                        monkeypatch):
     meas = small_periodic_setup["meas"]
-    fn = make_objective(meas, coarse_mesh)
+    fn = make_objective(meas, coarse_model(meas, coarse_mesh))
     evaluations = _count_calls(monkeypatch, CoarseModel, "evaluate")
-    back_solves = _count_calls(monkeypatch, PinnedBandCholesky, "back")
+    solutions = _count_calls(monkeypatch, CoarseEvaluation, "solutions")
     sensitivities = _count_calls(monkeypatch, CoarseEvaluation,
                                  "sensitivity")
     points = []
@@ -310,9 +392,9 @@ def test_descent_trials_are_value_only(small_periodic_setup, coarse_mesh,
     assert len(trials) > trace.iterations > 0
     # one surrogate evaluation at the start and per trial
     assert len(evaluations) == len(points) == trace.evaluations
-    # psi_sigma reads the energies only, so the solutions are back-solved
-    # and the gradient formed only at the start and the accepted points
-    assert len(back_solves) == trace.iterations + 1
+    # psi_sigma reads the reduced energies only: no nodal solution is
+    # formed, and the gradient only at the start and the accepted points
+    assert solutions == []
     assert len(sensitivities) == trace.iterations + 1 == trace.gradients
 
 
@@ -320,7 +402,7 @@ def test_gradient_vanishes_at_exact_fit(coarse_mesh):
     basis = affine_modes(coarse_mesh)
     a0 = SymMat(7.0, 1.5, 9.0)
     meas = simulate_measurements(coarse_mesh, constant_field(a0), basis)
-    fn = make_objective(meas, coarse_mesh, "psi_sigma")
+    fn = make_objective(meas, CoarseModel(coarse_mesh, basis), "psi_sigma")
     val, gradient = fn(a0)
     assert val < 1e-20
     assert np.linalg.norm(gradient()) < 1e-12
@@ -332,8 +414,8 @@ def test_gram_factor_diagonal_nonnegative(small_periodic_setup, coarse_mesh):
     model = CoarseModel(coarse_mesh, cb)
     coarse = model.evaluate(SymMat(18.0, -0.5, 13.0))
     for p in range(meas.count):
-        u = coarse.values[p]
-        s = coarse.sensitivity(u, u)
+        x = coarse.coords[:, p:p + 1]
+        s = coarse.sensitivity(x, x)
         assert s[0] >= 0.0 and s[2] >= 0.0
 
 
@@ -347,7 +429,7 @@ def test_descent_monotone_and_recovers_constant(coarse_mesh):
     rng = np.random.default_rng(3)
     for _ in range(3):
         init = random_spd(rng, lo=3.0, hi=30.0)
-        trace = identify(meas, coarse_mesh, init)
+        trace = identify(meas, CoarseModel(coarse_mesh, basis), init)
         vals = trace.objective_values
         assert all(b <= a + 1e-18 for a, b in zip(vals, vals[1:]))
         err = np.abs(trace.final.vec() - a0.vec()).max() / a0.frobenius()
@@ -359,7 +441,7 @@ def test_descent_zero_iterations_at_solution(coarse_mesh):
     basis = affine_modes(coarse_mesh)
     a0 = SymMat(4.0, 0.5, 6.0)
     meas = simulate_measurements(coarse_mesh, constant_field(a0), basis)
-    trace = identify(meas, coarse_mesh, a0)
+    trace = identify(meas, CoarseModel(coarse_mesh, basis), a0)
     assert trace.termination == "gradient_small"
     assert trace.iterations == 0
 
@@ -369,7 +451,8 @@ def test_descent_rejects_indefinite_init(coarse_mesh):
     meas = simulate_measurements(coarse_mesh,
                                  constant_field(SymMat.identity(2.0)), basis)
     with pytest.raises(ValueError):
-        identify(meas, coarse_mesh, SymMat(1.0, 3.0, 1.0))
+        identify(meas, CoarseModel(coarse_mesh, basis),
+                 SymMat(1.0, 3.0, 1.0))
 
 
 def test_descent_first_step_capped():
@@ -393,7 +476,7 @@ def test_argmax_invariant_under_common_scaling(small_periodic_setup,
     model = CoarseModel(coarse_mesh, cb)
     at = SymMat(19.0, 0.3, 12.5)
     coarse = model.evaluate(at)
-    m, _ = assemble_m(meas, coarse, cb)
+    m, _ = assemble_m(meas, coarse)
     _, v1 = psi_max_from_m(m)
     _, v2 = psi_max_from_m(3.7 * m)
     assert np.abs(v1 - v2).max() < 1e-12
@@ -407,8 +490,9 @@ def test_ms_mv_zero_at_exact_fit(coarse_mesh):
     basis = affine_modes(coarse_mesh)
     a0 = SymMat(6.0, 0.0, 8.0)
     meas = simulate_measurements(coarse_mesh, constant_field(a0), basis)
+    model = CoarseModel(coarse_mesh, basis)
     for kind in ("ms", "mv"):
-        value, _ = make_objective(meas, coarse_mesh, kind)(a0)
+        value, _ = make_objective(meas, model, kind)(a0)
         assert value < 1e-18
 
 
@@ -420,18 +504,20 @@ def test_ms_single_mode_is_plain_norm(small_periodic_setup, coarse_mesh,
     meas1 = take_measurements(small_periodic_setup["meas"], 1)
     cb = modes_on_mesh(meas1.basis, fine, coarse_mesh)
     at = SymMat(20.0, 0.0, 12.0)
-    val, _ = make_objective(meas1, coarse_mesh, kind, coarse_basis=cb)(at)
+    model = CoarseModel(coarse_mesh, cb)
+    val, _ = make_objective(meas1, model, kind)(at)
     # recompute directly: the squared norm of the one residual, on the
     # coarse boundary (ms) or on the measurement mesh (mv)
-    coarse = CoarseModel(coarse_mesh, cb).evaluate(at)
+    u = model.evaluate(at).solutions()[:, 0]
     if kind == "ms":
         mass = boundary_mass_matrix(coarse_mesh)
         t = interpolate_boundary(fine, meas1.boundary_traces[0], coarse_mesh)
-        d = zero_mean_project(coarse_mesh, mass, t) - coarse.traces[0]
+        d = zero_mean_project(coarse_mesh, mass, t) \
+            - u[coarse_mesh.boundary_loop]
     else:
         mass = assemble_volume_mass(fine)
         d = meas1.volume_fields[0] \
-            - interpolation_matrix(coarse_mesh, fine.nodes) @ coarse.values[0]
+            - interpolation_matrix(coarse_mesh, fine.nodes) @ u
     assert val > 0.0
     assert abs(val - d @ (mass @ d)) <= 1e-12 * val
 
@@ -440,7 +526,7 @@ def test_ms_invariant_under_basis_rotation(small_periodic_setup,
                                            coarse_mesh):
     meas = small_periodic_setup["meas"]
     at = SymMat(19.0, 0.0, 12.0)
-    v1, _ = make_objective(meas, coarse_mesh, "ms")(at)
+    v1, _ = make_objective(meas, coarse_model(meas, coarse_mesh), "ms")(at)
     # rotate the basis and all recorded observables consistently
     rng = np.random.default_rng(9)
     q, _ = np.linalg.qr(rng.standard_normal((meas.count, meas.count)))
@@ -450,7 +536,7 @@ def test_ms_invariant_under_basis_rotation(small_periodic_setup,
     rot = Measurements(basis=rot_basis, energies=meas.energies,
                        boundary_traces=q @ meas.boundary_traces,
                        mesh=meas.mesh)
-    v2, _ = make_objective(rot, coarse_mesh, "ms")(at)
+    v2, _ = make_objective(rot, coarse_model(rot, coarse_mesh), "ms")(at)
     assert abs(v1 - v2) < 1e-10 * max(v1, 1.0)
 
 
@@ -459,7 +545,8 @@ def test_ms_requires_traces(coarse_mesh):
     meas = Measurements(basis=basis, energies=np.array([-1.0, -1.0, -1.0]),
                         mesh=coarse_mesh)
     with pytest.raises(ValueError):
-        make_objective(meas, coarse_mesh, "ms")(SymMat.identity())
+        make_objective(meas, CoarseModel(coarse_mesh, basis),
+                       "ms")(SymMat.identity())
 
 
 # ---------------------------------------------------------------------------
@@ -523,10 +610,11 @@ def test_measurement_noise_spec_rejected_by_objective(coarse_mesh):
     meas = simulate_measurements(coarse_mesh,
                                  constant_field(SymMat.identity(8.0)), basis)
     spec = NoiseSpec(kind="measurement", sigma=0.1, seed=1)
+    model = CoarseModel(coarse_mesh, basis)
     with pytest.raises(ValueError, match="measurement noise goes"):
-        make_objective(meas, coarse_mesh, noise=spec)
+        make_objective(meas, model, noise=spec)
     with pytest.raises(ValueError, match="measurement noise goes"):
-        identify(meas, coarse_mesh, SymMat.identity(9.0), noise=spec)
+        identify(meas, model, SymMat.identity(9.0), noise=spec)
 
 
 @pytest.mark.parametrize("kind", ["psi_max", "ms", "mv"])
@@ -536,7 +624,8 @@ def test_coefficient_noise_needs_energy_objective(coarse_mesh, kind):
                                  constant_field(SymMat.identity(8.0)), basis)
     spec = NoiseSpec(kind="coefficient", sigma=1.0, draws=2, seed=0)
     with pytest.raises(ValueError, match="psi_sigma"):
-        make_objective(meas, coarse_mesh, kind, noise=spec)
+        make_objective(meas, CoarseModel(coarse_mesh, basis), kind,
+                       noise=spec)
 
 
 def test_coefficient_noise_degenerates_to_clean(coarse_mesh):
@@ -545,8 +634,9 @@ def test_coefficient_noise_degenerates_to_clean(coarse_mesh):
     meas = simulate_measurements(coarse_mesh, constant_field(a0), basis)
     at = SymMat(9.0, 0.2, 7.0)
     spec = NoiseSpec(kind="coefficient", sigma=0.0, draws=5, seed=0)
-    noisy = make_objective(meas, coarse_mesh, noise=spec)(at)
-    clean = make_objective(meas, coarse_mesh)(at)
+    model = CoarseModel(coarse_mesh, basis)
+    noisy = make_objective(meas, model, noise=spec)(at)
+    clean = make_objective(meas, model)(at)
     assert noisy[0] == clean[0]
     assert np.array_equal(noisy[1](), clean[1]())
 
@@ -557,8 +647,10 @@ def test_coefficient_noise_deterministic(coarse_mesh):
                                  constant_field(SymMat.identity(8.0)), basis)
     spec = NoiseSpec(kind="coefficient", sigma=1.0, draws=4, seed=11)
     at = SymMat.identity(9.0)
-    v1 = make_objective(meas, coarse_mesh, noise=spec)(at)[0]
-    v2 = make_objective(meas, coarse_mesh, noise=spec)(at)[0]
+    v1 = make_objective(meas, CoarseModel(coarse_mesh, basis),
+                        noise=spec)(at)[0]
+    v2 = make_objective(meas, CoarseModel(coarse_mesh, basis),
+                        noise=spec)(at)[0]
     assert v1 == v2
 
 

@@ -9,8 +9,8 @@ from effdiff.mesh import boundary_mass_matrix, build_periodic_cell_mesh, \
     build_unit_square_mesh
 from effdiff.modes import affine_modes, compute_r_modes
 from effdiff.solver import CorrectorSolver, NeumannSolver, \
-    PinnedBandCholesky, assemble_stiffness, assemble_volume_mass, \
-    band_loads, boundary_load, grid_layout, unit_bands, unit_stiffnesses
+    assemble_stiffness, assemble_volume_mass, boundary_load, grid_layout, \
+    unit_stiffnesses
 
 from conftest import element_gradients, triangle_geometry
 
@@ -179,38 +179,14 @@ def zero_mean_reference(k, weights, b):
 
 
 def test_stiffness_of_constant_field_matches_barycentric_assembly():
-    # the coarse surrogate's bands and gradients take a constant
-    # coefficient's stiffness as a combination of the unit stiffnesses
+    # the reduced coarse surrogate projects a constant coefficient's
+    # stiffness as a combination of the unit stiffnesses
     mesh = build_unit_square_mesh(9)
     m = SymMat(3.0, -0.7, 2.0)
     k11, k12, k22 = unit_stiffnesses(9)
     fast = (m.a11 * k11 + m.a12 * k12 + m.a22 * k22).toarray()
     slow = assemble_stiffness(mesh, scale_epsilon(constant_field(m), 0.3))
     assert np.abs(fast - slow.toarray()).max() <= 1e-12 * np.abs(fast).max()
-
-
-@pytest.mark.parametrize("n", [8, 29, 71])
-def test_band_is_the_sum_of_the_unit_bands_bit_for_bit(n, monkeypatch):
-    factored = []
-    dpbtrf = solver_module.lapack.dpbtrf
-
-    def recording(ab, *args, **kwargs):
-        factored.append(ab.copy())
-        return dpbtrf(ab, *args, **kwargs)
-
-    monkeypatch.setattr(solver_module.lapack, "dpbtrf", recording)
-    b11, b12, b22 = unit_bands(n)
-    mesh = build_unit_square_mesh(n)
-    loads = boundary_load(mesh, boundary_mass_matrix(mesh),
-                          affine_modes(mesh).modes.T)
-    for m in (SymMat(19.0, 0.3, 12.0), SymMat(3.0, -1.9, 2.0)):
-        factor = PinnedBandCholesky(m, n)
-        want = (m.a11 * b11 + m.a12 * b12 + m.a22 * b22).T
-        assert np.array_equal(factored[-1].view(np.int64),
-                              want.view(np.int64))
-        # the two triangular halves make up the whole solve
-        split = factor.back(factor.forward(band_loads(loads, n)))
-        assert np.array_equal(split, factor.solve(loads))
 
 
 def random_triangle_field(n, seed):
