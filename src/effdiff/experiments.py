@@ -128,8 +128,7 @@ def err_star(abar: SymMat, a_star: SymMat) -> float:
     return math.sqrt(num / den)
 
 
-def err_eps_q(abar: SymMat, meas: Measurements, coarse_mesh: TriMesh,
-              coarse_basis: ModeBasis | None = None
+def err_eps_q(abar: SymMat, meas: Measurements, coarse_mesh: TriMesh
               ) -> tuple[float, float | None]:
     """Worst-case relative volume error over combinations of the Q modes,
     and the ridge added to a singular measured-field Gram (None if none).
@@ -142,8 +141,7 @@ def err_eps_q(abar: SymMat, meas: Measurements, coarse_mesh: TriMesh,
     diagonal is added to it, with a warning.
     """
     interp, mass = volume_setup(meas, coarse_mesh)
-    if coarse_basis is None:
-        coarse_basis = modes_on_mesh(meas.basis, meas.mesh, coarse_mesh)
+    coarse_basis = modes_on_mesh(meas.basis, meas.mesh, coarse_mesh)
     u = NeumannSolver(coarse_mesh, constant_field(abar)).solve(
         coarse_basis.modes.T)
     diffs = meas.volume_fields - (interp @ u).T

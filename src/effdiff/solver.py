@@ -17,32 +17,31 @@ Assembly is vectorized over the grid's structure (as in Cuvelier, Japhet &
 Scarella, BIT Numer. Math. 56, 2016).  Every triangle is one of the two
 cell triangles scaled by 1/n, so its local stiffness is linear in (a11,
 a12, a22) with one fixed table per shape, and its local mass is a constant.
-The local entries of all cells are formed elementwise, summed by slices
-into one 7-point stencil row per node, and scattered by one ``bincount``
-into a ``GridLayout``: every node, or every periodic class, in natural
-order.  One layout per grid serves the stiffness, the volume mass and the
-unit stiffnesses; ``PinnedLU`` slices its pinned unknown out of the matrix.
+The local entries of all cells are formed elementwise and summed by slices
+into one 7-point stencil row per node.  In natural order the stencil rows
+are the matrix's seven diagonals; the corrector's rows are folded onto the
+n^2 periodic classes and placed at the classes of their neighbours.
+``PinnedLU`` slices its pinned unknown out of the matrix.
 
 The periodic corrector needs no geometry beyond the stiffness K of the
 cell's nodes.  The coordinate x_i is P1 with gradient e_i, so the load of
 the corrector in direction e_i is -K x_i, folded onto the n^2 periodic
 classes, and the cell mean sum_T |T| A is x^T K x; K's rows sum to zero,
 so both are formed from the stencil offsets x_b - x_a of K's stencil rows,
-the same rows that are scattered into the periodic block.  The corrector
+the same rows that make up the periodic block.  The corrector
 has zero cell average, and every class has lumped mass 1/n^2, so its
 constraint weights are uniform.
 
 Work that does not depend on the coefficient is done once per grid size n,
 since the nodes and triangles of both mesh builders depend on n alone: the
-layouts, the boundary mass and constraint, and the stiffnesses of the three
-unit coefficients, from which a constant coefficient's stiffness is a
-linear combination.
+boundary mass and constraint, and the stiffnesses of the three unit
+coefficients, from which a constant coefficient's stiffness is a linear
+combination.
 """
 
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
@@ -60,8 +59,8 @@ from .mesh import CELL_TRIANGLES, TriMesh, boundary_mass_matrix, \
 # mesh.CELL_TRIANGLES, scaled by h = 1/n, so |T| = 1/(2 n^2) and
 # n grad phi_k depends on the shape alone.  Each entry of a local matrix is
 # added to the stencil row of its row's node: ``rows[j, i, k]`` couples node
-# (i, j) to its neighbour (i, j) + _STENCIL[k].  A cached GridLayout then
-# scatters the stencil rows into the stored entries of a sparse matrix.
+# (i, j) to its neighbour (i, j) + _STENCIL[k], which is one diagonal of
+# the matrix in natural order.
 
 # the (di, dj) between two vertices of one triangle
 _STENCIL = sorted({tuple(q - p) for shape in CELL_TRIANGLES
@@ -95,46 +94,10 @@ _LOCAL_TERMS = tuple(
     for a in range(3) for b in range(a, 3))
 
 
-# GridLayout's int32 slot, indices and indptr hold the 7 stencil entries of
-# every node, so a grid has at most this many nodes
-MAX_GRID_NODES = np.iinfo(np.int32).max // len(_STENCIL)
-
-
-@dataclass(frozen=True)
-class GridLayout:
-    """Stored entries of the P1 matrices of the n-grid in one layout.
-
-    The unknowns are the nodes, or with ``periodic`` the n^2 classes of the
-    periodic cell, in natural order.  ``slot[7 v + k]`` is the stored
-    position of node v's coupling to its neighbour ``_STENCIL[k]``, and
-    ``nnz`` for a coupling outside the grid.  Couplings that land on one
-    entry (the periodic images) are summed.
-    """
-
-    slot: np.ndarray
-    indices: np.ndarray
-    indptr: np.ndarray
-
-    @property
-    def shape(self) -> tuple[int, int]:
-        return (self.indptr.shape[0] - 1,) * 2
-
-    @property
-    def nnz(self) -> int:
-        return self.indices.shape[0]
-
-    def assemble(self, rows: np.ndarray) -> sp.csr_matrix:
-        """The matrix of the stencil rows ``rows`` (from ``_stencil_rows``).
-
-        The matrix shares the layout's index arrays, which are read-only:
-        copy it before changing its sparsity.  A copy per matrix, held
-        through a factorization, raised the peak RSS of six n = 300
-        realizations by 3 MB.
-        """
-        data = np.bincount(self.slot, weights=rows.ravel(),
-                           minlength=self.nnz + 1)[:-1]
-        return sp.csr_matrix((data, self.indices, self.indptr),
-                             shape=self.shape)
+# SuperLU casts a matrix's indices and index pointers to C int (scipy's
+# ``safely_cast_index_arrays``), and they hold the 7 stencil entries of every
+# node, so a grid has at most this many nodes
+MAX_GRID_NODES = np.iinfo(np.intc).max // len(_STENCIL)
 
 
 def _stencil_rows(n: int, entry) -> np.ndarray:
@@ -151,35 +114,42 @@ def _stencil_rows(n: int, entry) -> np.ndarray:
     return rows
 
 
-@functools.lru_cache(maxsize=4)
-def grid_layout(n: int, periodic: bool = False) -> GridLayout:
-    """Layout of the n-grid's matrices: every node, or the periodic classes
-    (``periodic``), in natural order.  The layout keeps the triangulation's
-    sparsity when an entry is zero, so a matrix's stored pattern does not
-    depend on its values; ``PinnedLU`` drops the zeros from its own block
-    before it factors."""
-    size = n * n if periodic else (n + 1) ** 2
+def _grid_matrix(rows: np.ndarray) -> sp.csr_matrix:
+    """The matrix of the stencil rows ``rows``, every node in natural order:
+    the coupling to neighbour (di, dj) lies on diagonal di + dj (n + 1).
+    The conversion to CSR drops the zeros, those of couplings outside the
+    grid and exact zero couplings alike."""
+    size = rows.shape[0] * rows.shape[1]
+    flat = rows.reshape(size, -1)
+    offsets = [di + dj * rows.shape[1] for di, dj in _STENCIL]
+    return sp.diags([flat[max(-o, 0):size - max(o, 0), k]
+                     for k, o in enumerate(offsets)], offsets,
+                    shape=(size, size), format="csr")
 
-    def unknown(i, j):
-        return i % n + j % n * n if periodic else i + j * (n + 1)
 
-    i, j = np.meshgrid(np.arange(n + 1), np.arange(n + 1), indexing="xy")
-    di, dj = np.array(_STENCIL).T
-    ni, nj = i[..., None] + di, j[..., None] + dj
-    inside = (ni >= 0) & (ni <= n) & (nj >= 0) & (nj <= n)
-    row = np.broadcast_to(unknown(i, j)[..., None], inside.shape)
-    col = unknown(np.clip(ni, 0, n), np.clip(nj, 0, n))
-    keys, inverse = np.unique(row[inside] * size + col[inside],
-                              return_inverse=True)
-    slot = np.full(inside.size, keys.shape[0], dtype=np.int32)
-    slot[inside.ravel()] = inverse
-    layout = GridLayout(
-        slot=slot, indices=(keys % size).astype(np.int32),
-        indptr=np.searchsorted(keys, np.arange(size + 1) * size).astype(
-            np.int32))
-    for a in (slot, layout.indices, layout.indptr):
-        a.flags.writeable = False
-    return layout
+def _fold(a: np.ndarray) -> np.ndarray:
+    """Values ``a[..., j, i]`` on the nodes of the n-grid summed onto the
+    n^2 periodic classes (i mod n, j mod n), shape (..., n, n)."""
+    n = a.shape[-1] - 1
+    a = a.copy()
+    a[..., 0] += a[..., n]
+    a[..., 0, :] += a[..., n, :]
+    return a[..., :n, :n]
+
+
+def _periodic_matrix(rows: np.ndarray) -> sp.csr_matrix:
+    """The matrix of the stencil rows ``rows`` on the n^2 periodic classes
+    in natural order: class (i, j) couples to ((i + di) mod n, (j + dj) mod
+    n).  Couplings that land on one entry (n = 2) are summed, and the
+    triangulation's sparsity is kept where an entry is zero."""
+    n = rows.shape[0] - 1
+    j, i = np.divmod(np.arange(n * n), n)
+    di, dj = np.array(_STENCIL).T[..., None]
+    cols = (i + di) % n + (j + dj) % n * n
+    return sp.coo_matrix(
+        (_fold(np.moveaxis(rows, -1, 0)).ravel(),
+         (np.tile(np.arange(n * n), len(_STENCIL)), cols.ravel())),
+        shape=(n * n, n * n)).tocsr()
 
 
 def _barycenters(n: int) -> np.ndarray:
@@ -198,8 +168,8 @@ def _barycenters(n: int) -> np.ndarray:
 
 
 def _stiffness_entries(a11, a12, a22):
-    """``entry(s, a, b)`` of the local stiffness, for ``GridLayout.assemble``,
-    of the coefficient entries a_ij per triangle: arrays (2, n, n) over shape
+    """``entry(s, a, b)`` of the local stiffness, for ``_stencil_rows``, of
+    the coefficient entries a_ij per triangle: arrays (2, n, n) over shape
     and cell [j, i], or (2, 1, 1) for a constant."""
     coefficients = (a11, a12, a22)
 
@@ -216,8 +186,7 @@ def unit_stiffnesses(n: int) -> tuple[sp.csr_matrix, ...]:
     """Stiffnesses K11, K12, K22 of the coefficients E11, E12 + E21 and E22
     on the n-grid; a constant A has a11 K11 + a12 K12 + a22 K22."""
     ones, zeros = np.ones((2, 1, 1)), np.zeros((2, 1, 1))
-    layout = grid_layout(n)
-    return tuple(layout.assemble(_stencil_rows(n, _stiffness_entries(*unit)))
+    return tuple(_grid_matrix(_stencil_rows(n, _stiffness_entries(*unit)))
                  for unit in ((ones, zeros, zeros), (zeros, ones, zeros),
                               (zeros, zeros, ones)))
 
@@ -233,14 +202,14 @@ def _stiffness_rows(n: int, field: CoefficientField) -> np.ndarray:
 def assemble_stiffness(mesh: TriMesh, field: CoefficientField) -> sp.csr_matrix:
     """Stiffness matrix with the coefficient sampled at barycenters, every
     node of the mesh in natural order."""
-    return grid_layout(mesh.n).assemble(_stiffness_rows(mesh.n, field))
+    return _grid_matrix(_stiffness_rows(mesh.n, field))
 
 
 def assemble_volume_mass(mesh: TriMesh) -> sp.csr_matrix:
     """Consistent P1 mass matrix of L^2((0,1)^2)."""
     n = mesh.n
     # |T| (1 + delta_ab) / 12
-    return grid_layout(n).assemble(_stencil_rows(
+    return _grid_matrix(_stencil_rows(
         n, lambda s, a, b: (1.0 + (a == b)) / (24.0 * n * n)))
 
 
@@ -270,9 +239,9 @@ class PinnedLU:
     def __init__(self, k: sp.csr_matrix, pin: int, weights: np.ndarray):
         self._free = np.delete(np.arange(k.shape[0]), pin)
         self._weights = weights
-        # the slice is a copy with its own pattern.  A diagonal
-        # coefficient's diagonal couplings are stored as exact zeros;
-        # dropping them keeps them out of the fill (-39% at n = 300).
+        # the slice is a copy with its own pattern.  The corrector's matrix
+        # stores a diagonal coefficient's diagonal couplings as exact zeros;
+        # dropping them keeps them out of the fill.
         k = k[self._free][:, self._free]
         k.eliminate_zeros()
         # k is symmetric, so k.T is k in CSC form, without a copy
@@ -362,11 +331,9 @@ def _corrector_loads(rows: np.ndarray):
     3.6e-13."""
     n = rows.shape[0] - 1
     d = np.array(_STENCIL, dtype=float) / n
-    f = -np.einsum("jik,kl->lji", rows, d)
-    f[:, :, 0] += f[:, :, n]
-    f[:, 0] += f[:, n]
+    f = _fold(-np.einsum("jik,kl->lji", rows, d))
     mean = -0.5 * np.einsum("k,ki,kj->ij", rows.sum(axis=(0, 1)), d, d)
-    return f[:, :n, :n].reshape(2, n * n), mean
+    return f.reshape(2, n * n), mean
 
 
 class CorrectorSolver:
@@ -392,7 +359,7 @@ class CorrectorSolver:
         n = cell_mesh.n
         rows = _stiffness_rows(n, field)
         self.loads, self.mean_matrix = _corrector_loads(rows)
-        self._lu = PinnedLU(grid_layout(n, periodic=True).assemble(rows),
+        self._lu = PinnedLU(_periodic_matrix(rows),
                             n * n - 1, np.ones(n * n))
 
     def solve(self, p) -> np.ndarray:

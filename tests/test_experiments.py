@@ -56,7 +56,7 @@ def small_measurements(a0=SymMat(10.0, 1.0, 6.0), n=12):
 def test_err_eps_q_zero_at_exact_fit():
     mesh, basis, meas = small_measurements()
     with pytest.warns(UserWarning, match="ridge"):
-        val, ridge = err_eps_q(SymMat(10.0, 1.0, 6.0), meas, mesh, basis)
+        val, ridge = err_eps_q(SymMat(10.0, 1.0, 6.0), meas, mesh)
     assert val < 1e-7
     assert ridge > 0.0
 
@@ -65,9 +65,8 @@ def test_err_eps_q_dominates_single_mode():
     mesh, basis, meas = small_measurements()
     at = SymMat(12.0, 0.0, 7.0)
     with pytest.warns(UserWarning, match="ridge"):
-        full, _ = err_eps_q(at, meas, mesh, basis)
-        one, _ = err_eps_q(at, take_measurements(meas, 1), mesh,
-                           take_modes(basis, 1))
+        full, _ = err_eps_q(at, meas, mesh)
+        one, _ = err_eps_q(at, take_measurements(meas, 1), mesh)
     assert one <= full + 1e-10
 
 
@@ -77,7 +76,7 @@ def test_err_eps_q_is_max_over_sampled_ratios():
     mesh, basis, meas = small_measurements()
     at = SymMat(13.0, -0.5, 8.0)
     with pytest.warns(UserWarning, match="ridge"):
-        val, _ = err_eps_q(at, meas, mesh, basis)
+        val, _ = err_eps_q(at, meas, mesh)
     from effdiff.coefficients import constant_field
     from effdiff.mesh import interpolate_nodal
     from effdiff.solver import NeumannSolver, assemble_volume_mass
@@ -104,7 +103,7 @@ def test_err_eps_q_requires_fields():
     stripped = Measurements(basis=meas.basis, energies=meas.energies,
                             mesh=mesh)
     with pytest.raises(ValueError):
-        err_eps_q(SymMat.identity(), stripped, mesh, basis)
+        err_eps_q(SymMat.identity(), stripped, mesh)
 
 
 def test_parallel_map_matches_serial():

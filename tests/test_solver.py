@@ -9,8 +9,7 @@ from effdiff.mesh import boundary_mass_matrix, build_periodic_cell_mesh, \
     build_unit_square_mesh
 from effdiff.modes import affine_modes, compute_r_modes
 from effdiff.solver import CorrectorSolver, NeumannSolver, \
-    assemble_stiffness, assemble_volume_mass, boundary_load, grid_layout, \
-    unit_stiffnesses
+    assemble_stiffness, assemble_volume_mass, boundary_load, unit_stiffnesses
 
 from conftest import element_gradients, triangle_geometry
 
@@ -280,7 +279,7 @@ def test_assembly_matches_barycentric_reference(n, periodic, monkeypatch):
         # the periodic matrix sums the images of each class
         red = periodic_reduction(mesh)
         k_red = red.T @ k_ref @ red
-        k_cell = grid_layout(n, periodic=True).assemble(
+        k_cell = solver_module._periodic_matrix(
             solver_module._stiffness_rows(n, field)).toarray()
         assert np.abs(k_cell - k_red).max() <= 1e-14 * np.abs(k_red).max()
         if field.kind == "periodic_analytic":
@@ -291,13 +290,12 @@ def test_assembly_matches_barycentric_reference(n, periodic, monkeypatch):
 
 
 def test_assembly_work_is_done_once_per_grid(monkeypatch):
-    # the layout and constraint are cached per grid size; a new
+    # the boundary mass and constraint are cached per grid size; a new
     # coefficient costs its own evaluation and local entries alone
     mesh = build_unit_square_mesh(12)
     g = affine_modes(mesh).modes[0]
     NeumannSolver(mesh, sample_checkerboard(1, 0.25))
-    assemble_volume_mass(mesh)
-    misses = grid_layout.cache_info().misses
+    misses = solver_module._neumann_setup.cache_info().misses
 
     def forbidden(*args, **kwargs):
         raise AssertionError("assembly repeated work of the grid")
@@ -305,10 +303,8 @@ def test_assembly_work_is_done_once_per_grid(monkeypatch):
     monkeypatch.setattr(solver_module.sp, "coo_matrix", forbidden)
     field = sample_checkerboard(2, 0.25)
     solver = NeumannSolver(mesh, field)
-    m = assemble_volume_mass(mesh)
-    assert grid_layout.cache_info().misses == misses
-    # the matrices share the cached pattern, which no caller may change
-    assert not m.indices.flags.writeable and not m.indptr.flags.writeable
+    assemble_volume_mass(mesh)
+    assert solver_module._neumann_setup.cache_info().misses == misses
     u = solver.solve(g)
     assert np.all(np.isfinite(u))
 
@@ -415,13 +411,16 @@ def test_pinned_corrector_solve_matches_dense_reference(n, field):
 
 
 def test_factored_matrix_stores_no_zeros(monkeypatch):
-    # the diagonal couplings of a diagonal coefficient are exact zeros in
-    # the layout's pattern; they are dropped before the factorization
+    # the diagonal couplings of a diagonal coefficient are exact zeros;
+    # they are dropped before the factorization
+    n = 12
     factored = factored_blocks(monkeypatch)
-    NeumannSolver(build_unit_square_mesh(12), sample_checkerboard(1, 0.25))
-    CorrectorSolver(build_periodic_cell_mesh(12), periodic_smooth_field())
-    layouts = (grid_layout(12), grid_layout(12, periodic=True))
-    assert len(factored) == len(layouts)
-    for a, layout in zip(factored, layouts):
+    NeumannSolver(build_unit_square_mesh(n), sample_checkerboard(1, 0.25))
+    CorrectorSolver(build_periodic_cell_mesh(n), periodic_smooth_field())
+    # every coupling of the 7-point stencil inside the grid, or on the
+    # periodic classes, less the 13 of the pinned unknown
+    full = ((n + 1) ** 2 + 4 * n * (n + 1) + 2 * n * n - 13, 7 * n * n - 13)
+    assert len(factored) == len(full)
+    for a, nnz in zip(factored, full):
         assert np.all(a.data != 0.0)
-        assert a.nnz < layout.nnz
+        assert a.nnz < nnz
