@@ -158,6 +158,13 @@ def _coefficient(v) -> dict:
         *(float(v[k]) for k in ENTRIES))}
 
 
+def _spd(v) -> bool:
+    try:    # entries whose eigenvalues overflow make no field either
+        return _coefficient(v)["constant_entries"].is_spd()
+    except OverflowError:
+        return False
+
+
 SWEEPS = ("identify", "sweep")
 ENTRIES = ("a11", "a12", "a22")
 NOISE_STUDIES = ("noise_measurement", "noise_coefficient")
@@ -178,10 +185,11 @@ KEYS = {
                                 for c in SWEEP_STRATEGIES)
         + tuple(f"{e} on periodic_smooth" for e in FIRST_EPSILON_EXPERIMENTS),
         f"one of {COEFFICIENTS} or {{'kind': 'constant', 'a11': a11, "
-        f"'a12': a12, 'a22': a22}} with finite entries",
+        f"'a12': a12, 'a22': a22}} with finite entries that form an SPD "
+        f"matrix",
         lambda v: v in COEFFICIENTS or isinstance(v, dict)
         and v.get("kind") == "constant" and set(v) == {"kind", *ENTRIES}
-        and all(_finite(v[k]) for k in ENTRIES),
+        and all(_finite(v[k]) for k in ENTRIES) and _spd(v),
         _coefficient),
     "epsilons": (EXPERIMENTS[1:],   # every run but homogenize
                  "a list of finite positive numbers", _list_of(_positive),
@@ -443,6 +451,8 @@ def main(argv: list[str] | None = None) -> int:
         _expect(args.seed is None or args.seed >= 0,
                 f"--seed (which sets 'base_seed') must be a nonnegative "
                 f"integer, got {args.seed}")
+        _expect(args.workers >= 0, f"--workers must be a nonnegative "
+                                   f"integer, got {args.workers}")
     except SchemaError as exc:
         print(f"error: invalid config: {exc}", file=sys.stderr)
         return EXIT_SCHEMA

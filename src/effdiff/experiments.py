@@ -106,13 +106,10 @@ def take_modes(basis: ModeBasis, count: int) -> ModeBasis:
 def take_measurements(meas: Measurements, count: int) -> Measurements:
     """Restrict a measurement record to its first `count` modes."""
     cross = None if meas.cross is None else meas.cross[:count, :count]
-    traces = None if meas.boundary_traces is None \
-        else meas.boundary_traces[:count]
     fields = None if meas.volume_fields is None else meas.volume_fields[:count]
     return Measurements(basis=take_modes(meas.basis, count),
-                        energies=meas.energies[:count], cross=cross,
-                        boundary_traces=traces, volume_fields=fields,
-                        mesh=meas.mesh)
+                        energies=meas.energies[:count], mesh=meas.mesh,
+                        cross=cross, volume_fields=fields)
 
 
 # ---------------------------------------------------------------------------
@@ -293,8 +290,7 @@ def _identify_record(experiment: str, strategy: str, eps: float,
     if strategy != "A_star":
         if strategy == "ME-affine":
             meas_p = simulate_measurements(meas_q.mesh, affine_field,
-                                           affine_modes(meas_q.mesh),
-                                           keep_fields=False)
+                                           affine_modes(meas_q.mesh))
         else:
             meas_p = take_measurements(meas_q, p)
         model_key = (key, coarse.n, meas_p.basis.family, meas_p.count)
@@ -357,8 +353,7 @@ def checkerboard_mean(eps: float, q: int, r: float, m1: int,
     for seed in range(base_seed, base_seed + m1):
         meas = simulate_measurements(fine, sample_checkerboard(seed, eps),
                                      basis_q)
-        obs = (meas.energies, meas.cross, meas.boundary_traces,
-               meas.volume_fields)
+        obs = (meas.energies, meas.cross, meas.volume_fields)
         if total is None:
             total = obs
         else:
@@ -368,10 +363,9 @@ def checkerboard_mean(eps: float, q: int, r: float, m1: int,
         # it, it left the heap fragmented enough to raise the peak RSS of
         # six n = 300 realizations from 243 to 315 MB in most runs
         del meas, obs
-    energies, cross, traces, fields = (acc / m1 for acc in total)
-    return Measurements(basis=basis_q, energies=energies, cross=cross,
-                        boundary_traces=traces, volume_fields=fields,
-                        mesh=fine)
+    energies, cross, fields = (acc / m1 for acc in total)
+    return Measurements(basis=basis_q, energies=energies, mesh=fine,
+                        cross=cross, volume_fields=fields)
 
 
 def identify_checkerboard(eps: float, r: float = DEFAULT_R["checkerboard"],
@@ -417,8 +411,7 @@ def _noise_setup(experiment: str, eps: float, r: float, p: int | None,
     p = resolve_p(eps, p)
     field = scale_epsilon(periodic_smooth_field(), eps)
     fine = build_unit_square_mesh(fine_n("periodic_smooth", eps, r))
-    meas = simulate_measurements(fine, field, compute_r_modes(fine, p),
-                                 keep_fields=False)
+    meas = simulate_measurements(fine, field, compute_r_modes(fine, p))
     coarse = build_unit_square_mesh(coarse_mesh_n(coarse_h))
     init = mean_over_cell(periodic_smooth_field())
     t0 = time.perf_counter()

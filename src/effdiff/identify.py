@@ -48,42 +48,43 @@ from .solver import NeumannSolver, assemble_volume_mass, boundary_load, \
 
 @dataclass(frozen=True)
 class Measurements:
-    """Observables recorded against one mode basis.
+    """Observables recorded against one mode basis on the measurement mesh.
 
     ``cross[p, q]`` is the boundary inner product of mode p with the trace
-    of the solution driven by mode q; its diagonal is -2 * energies.
-    Traces and volume fields are optional and only needed by the surface
-    and volume baseline objectives.
+    of the solution driven by mode q; its diagonal is -2 * energies.  The
+    volume fields are the solutions themselves; they and their boundary
+    traces are only needed by the surface and volume baseline objectives
+    and by ``err_eps_q``.  A noisy record keeps its energies alone.
     """
 
     basis: ModeBasis
     energies: np.ndarray                    # (P,)
+    mesh: TriMesh
     cross: np.ndarray | None = None         # (P, P)
-    boundary_traces: np.ndarray | None = None   # (P, nb)
     volume_fields: np.ndarray | None = None     # (P, num_nodes)
-    mesh: TriMesh | None = None
 
     @property
     def count(self) -> int:
         return self.energies.shape[0]
 
+    @property
+    def boundary_traces(self) -> np.ndarray | None:
+        """The fields on the boundary loop, (P, nb); None without them."""
+        return None if self.volume_fields is None \
+            else self.volume_fields[:, self.mesh.boundary_loop]
+
 
 def simulate_measurements(mesh: TriMesh, coeff: CoefficientField,
-                          basis: ModeBasis,
-                          keep_fields: bool = True) -> Measurements:
-    """Solve the Neumann problems of all modes at once and record all
-    observables."""
+                          basis: ModeBasis) -> Measurements:
+    """Solve the Neumann problems of all modes at once and record the
+    energies, the cross table and the solutions as volume fields."""
     if basis.mesh_n != mesh.n:
         raise ValueError("mode basis does not live on the measurement mesh")
     solver = NeumannSolver(mesh, coeff)
     u = solver.solve(basis.modes.T)   # (num_nodes, P)
-    traces = solver.trace(u).T
-    fields = u.T if keep_fields else None
-    cross = basis.modes @ (solver.boundary_mass @ traces.T)
-    energies = -0.5 * np.diag(cross)
-    return Measurements(basis=basis, energies=energies, cross=cross,
-                        boundary_traces=traces,
-                        volume_fields=fields, mesh=mesh)
+    cross = basis.modes @ (solver.boundary_mass @ solver.trace(u))
+    return Measurements(basis=basis, energies=-0.5 * np.diag(cross),
+                        mesh=mesh, cross=cross, volume_fields=u.T)
 
 
 # ---------------------------------------------------------------------------
@@ -331,14 +332,8 @@ class CoarseModel:
 def coarse_model(meas: Measurements, coarse_mesh: TriMesh) -> CoarseModel:
     """The surrogate of ``meas`` on ``coarse_mesh``: its mode basis carried
     to the coarse mesh."""
-    if meas.mesh is not None:
-        basis = modes_on_mesh(meas.basis, meas.mesh, coarse_mesh)
-    elif meas.basis.mesh_n == coarse_mesh.n:
-        basis = meas.basis
-    else:
-        raise ValueError("measurements without a mesh need a mode basis on "
-                         "the coarse mesh")
-    return CoarseModel(coarse_mesh, basis)
+    return CoarseModel(coarse_mesh,
+                       modes_on_mesh(meas.basis, meas.mesh, coarse_mesh))
 
 
 # ---------------------------------------------------------------------------
@@ -422,21 +417,21 @@ def _energy_mismatch(meas: Measurements,
 # ---------------------------------------------------------------------------
 # trace / volume baselines
 
-def _measured_traces(meas: Measurements, coarse_mesh: TriMesh) -> np.ndarray:
-    """Measured traces carried to the coarse boundary by arclength
+def _measured_traces(meas: Measurements, model: CoarseModel) -> np.ndarray:
+    """Measured traces carried to the model's coarse boundary by arclength
     interpolation, with their boundary mean removed; shape (P, nb)."""
-    if meas.boundary_traces is None or meas.mesh is None:
-        raise ValueError("surface objective needs recorded boundary traces")
-    mb = boundary_mass_matrix(coarse_mesh)
+    if meas.volume_fields is None:
+        raise ValueError("surface objective needs recorded volume fields")
     return np.array([zero_mean_project(
-        coarse_mesh, mb, interpolate_boundary(meas.mesh, t, coarse_mesh))
+        model.mesh, model.boundary_mass,
+        interpolate_boundary(meas.mesh, t, model.mesh))
         for t in meas.boundary_traces])
 
 
 def volume_setup(meas: Measurements, coarse_mesh: TriMesh):
     """Interpolation of coarse nodal fields onto the measurement mesh and
     that mesh's volume mass matrix: (I, M)."""
-    if meas.volume_fields is None or meas.mesh is None:
+    if meas.volume_fields is None:
         raise ValueError("volume mismatch needs recorded volume fields")
     return (interpolation_matrix(coarse_mesh, meas.mesh.nodes),
             assemble_volume_mass(meas.mesh))
@@ -465,16 +460,16 @@ def apply_measurement_noise(meas: Measurements,
                             spec: NoiseSpec) -> Measurements:
     """Multiplicative Gaussian noise on the measured energies.
 
-    Derived observables (cross table, traces, fields) are dropped from the
-    noisy record since they no longer agree with the perturbed energies.
+    Derived observables (cross table, fields and so traces) are dropped
+    from the noisy record since they no longer agree with the perturbed
+    energies.
     """
     if spec.kind != "measurement":
         raise ValueError("expected a measurement-noise spec")
     rng = np.random.default_rng(spec.seed)
     eta = rng.standard_normal(meas.count)
     noisy = meas.energies * (1.0 + spec.sigma * eta)
-    return replace(meas, energies=noisy, cross=None, boundary_traces=None,
-                   volume_fields=None)
+    return replace(meas, energies=noisy, cross=None, volume_fields=None)
 
 
 def draw_matrix_perturbations(abar: SymMat, spec: NoiseSpec,
@@ -706,7 +701,7 @@ def make_objective(meas: Measurements, model: CoarseModel,
     # K_r z_k = V^T L^T W d_k, and the gradient is 2 sum_k z_k.K_ij,r x_k.
     coarse_mesh = model.mesh
     if kind == "ms":
-        data = _measured_traces(meas, coarse_mesh)
+        data = _measured_traces(meas, model)
         # 0/1 entries, so the observed traces are the nodal values exactly;
         # interpolation_matrix at the loop nodes would round its weights
         loop = coarse_mesh.boundary_loop

@@ -91,6 +91,15 @@ def test_schema_violations(tmp_path, capsys):
         {"schema_version": 1, "experiment": "homogenize",
          "coefficient": {"kind": "constant", "a11": math.inf, "a12": 0.0,
                          "a22": 1.0}},
+        # finite, but not SPD: indefinite, and semidefinite
+        {"schema_version": 1, "experiment": "homogenize",
+         "coefficient": {"kind": "constant", "a11": 1, "a12": 2, "a22": 1}},
+        {"schema_version": 1, "experiment": "homogenize",
+         "coefficient": {"kind": "constant", "a11": 1, "a12": 1, "a22": 1}},
+        # SPD, but its eigenvalues overflow, so no field can be made of it
+        {"schema_version": 1, "experiment": "homogenize",
+         "coefficient": {"kind": "constant", "a11": 1e300, "a12": 1e299,
+                         "a22": 1e300}},
         # finite, but sqrt(2) r / eps overflows, in either profile
         {"schema_version": 1, "experiment": "sweep", "epsilons": [0.2],
          "r": 1e308},
@@ -113,8 +122,9 @@ def test_schema_violations(tmp_path, capsys):
 @pytest.mark.parametrize("overrides, flags, key", [
     ({"base_seed": -1}, [], "'base_seed'"),
     ({}, ["--seed", "-1"], "--seed"),
+    ({}, ["--workers", "-3"], "--workers"),
     ({"grid": [1.0, 3.0, 2.5]}, [], "'grid'")],
-    ids=["base_seed", "seed_flag", "grid_count"])
+    ids=["base_seed", "seed_flag", "workers_flag", "grid_count"])
 def test_negative_seed_and_fractional_count_rejected(tmp_path, capsys,
                                                      overrides, flags, key,
                                                      validate):
@@ -294,6 +304,40 @@ def test_sweep_runs_deterministically(tmp_path):
         strip_wall_ms(tmp_path / "b.csv")
     rec = json.loads((tmp_path / "a.json").read_text())["records"][0]
     assert "error" not in rec
+
+
+def test_records_across_blas_thread_counts(tmp_path):
+    # the README's contract: at a fixed BLAS thread count a re-run
+    # reproduces every field but wall_ms; between 1 and 2 threads the
+    # matrix entries, psi_final and grad_norm stay within its stated
+    # relative bounds and iters is unchanged
+    doc = {"schema_version": 1, "experiment": "sweep", "epsilons": [0.25],
+           "strategies": ["ME", "MS", "A_star"], "P": 3, "Q": 5, "r": 4,
+           "coarse_H": 0.2}
+    path = write_config(tmp_path, doc)
+    runs = []
+    for k, threads in enumerate((1, 1, 2, 2)):
+        out = tmp_path / f"run{k}"
+        env = dict(os.environ, PYTHONPATH="src", PYTHONDONTWRITEBYTECODE="1",
+                   OPENBLAS_NUM_THREADS=str(threads),
+                   OMP_NUM_THREADS=str(threads))
+        proc = subprocess.run(
+            [sys.executable, "-m", "effdiff.cli", path, "--out", str(out)],
+            cwd=ROOT, env=env, capture_output=True, text=True, timeout=300)
+        assert proc.returncode == 0, proc.stderr
+        records = json.loads((out / "results.json").read_text())["records"]
+        runs.append([{key: v for key, v in rec.items() if key != "wall_ms"}
+                     for rec in records])
+    assert runs[0] == runs[1] and runs[2] == runs[3]
+    bounds = {"a11": 1.4e-11, "a12": 1.4e-11, "a22": 1.4e-11,
+              "psi_final": 4.5e-11, "grad_norm": 1.8e-9}
+    assert [rec["strategy"] for rec in runs[0]] == ["ME", "MS", "A_star"]
+    for one, two in zip(runs[0], runs[2]):
+        assert one["iters"] == two["iters"], one["strategy"]
+        for key, bound in bounds.items():
+            if one[key] is not None:
+                assert abs(one[key] - two[key]) <= bound * abs(one[key]), \
+                    (one["strategy"], key)
 
 
 def test_me_ms_check_experiment(tmp_path):

@@ -534,8 +534,7 @@ def test_ms_invariant_under_basis_rotation(small_periodic_setup,
     rot_basis = ModeBasis(modes=q @ meas.basis.modes, eigenvalues=None,
                           family="r_modes", mesh_n=meas.basis.mesh_n)
     rot = Measurements(basis=rot_basis, energies=meas.energies,
-                       boundary_traces=q @ meas.boundary_traces,
-                       mesh=meas.mesh)
+                       mesh=meas.mesh, volume_fields=q @ meas.volume_fields)
     v2, _ = make_objective(rot, coarse_model(rot, coarse_mesh), "ms")(at)
     assert abs(v1 - v2) < 1e-10 * max(v1, 1.0)
 
@@ -582,11 +581,12 @@ def test_measurement_noise_basics(small_periodic_setup):
     n2 = apply_measurement_noise(meas, spec)
     assert np.array_equal(n1.energies, n2.energies)
     assert n1.cross is None
+    assert n1.volume_fields is None and n1.boundary_traces is None
 
 
 def test_measurement_noise_is_standard_normal():
     basis_energies = np.full(4, -1.0)
-    meas = Measurements(basis=None, energies=basis_energies)
+    meas = Measurements(basis=None, energies=basis_energies, mesh=None)
     sigma = 0.05
     zs = []
     for seed in range(2500):
