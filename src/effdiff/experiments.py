@@ -125,8 +125,18 @@ def err_star(abar: SymMat, a_star: SymMat) -> float:
     return math.sqrt(num / den)
 
 
-def err_eps_q(abar: SymMat, meas: Measurements, coarse_mesh: TriMesh
-              ) -> tuple[float, float | None]:
+def err_eps_q_setup(meas: Measurements, coarse_mesh: TriMesh) -> tuple:
+    """The part of ``err_eps_q`` that does not depend on the candidate:
+    the coarse-to-fine interpolation, the fine volume mass, the Q modes on
+    the coarse mesh (nodes, Q) and the measured-field Gram."""
+    interp, mass = volume_setup(meas, coarse_mesh)
+    modes = modes_on_mesh(meas.basis, meas.mesh, coarse_mesh).modes.T
+    return interp, mass, modes, \
+        meas.volume_fields @ (mass @ meas.volume_fields.T)
+
+
+def err_eps_q(abar: SymMat, meas: Measurements, coarse_mesh: TriMesh,
+              setup: tuple | None = None) -> tuple[float, float | None]:
     """Worst-case relative volume error over combinations of the Q modes,
     and the ridge added to a singular measured-field Gram (None if none).
 
@@ -135,15 +145,14 @@ def err_eps_q(abar: SymMat, meas: Measurements, coarse_mesh: TriMesh
     coarse solutions come from one exact solve of the Q mode data, not from
     a reduced surrogate, and are interpolated onto the measurement mesh.
     When the measured-field Gram is numerically singular, 1e-12 of its mean
-    diagonal is added to it, with a warning.
+    diagonal is added to it, with a warning.  ``setup`` is
+    ``err_eps_q_setup(meas, coarse_mesh)``, computed here if not given.
     """
-    interp, mass = volume_setup(meas, coarse_mesh)
-    coarse_basis = modes_on_mesh(meas.basis, meas.mesh, coarse_mesh)
-    u = NeumannSolver(coarse_mesh, constant_field(abar)).solve(
-        coarse_basis.modes.T)
+    interp, mass, modes, nmat = err_eps_q_setup(meas, coarse_mesh) \
+        if setup is None else setup
+    u = NeumannSolver(coarse_mesh, constant_field(abar)).solve(modes)
     diffs = meas.volume_fields - (interp @ u).T
     d = diffs @ (mass @ diffs.T)
-    nmat = meas.volume_fields @ (mass @ meas.volume_fields.T)
 
     ridge = None
     try:
@@ -274,8 +283,9 @@ def _identify_record(experiment: str, strategy: str, eps: float,
     """The identification run of both test cases.  ``measure()`` gives the
     Q-mode measurements, and ME-affine measures ``affine_field`` on the
     affine family.  A ``meas_cache`` holds the measurements once per
-    ``key``, and the coarse surrogate once per key, coarse mesh and mode
-    family, so the strategies of one measurement share it."""
+    ``key``, the candidate-independent part of ``err_eps_q`` once per key
+    and coarse mesh, and the coarse surrogate once per key, coarse mesh and
+    mode family, so the strategies of one measurement share them."""
     p = resolve_p(eps, p)
     if q < p:
         raise ValueError(f"need Q >= P, got Q={q}, P={p}")
@@ -300,8 +310,12 @@ def _identify_record(experiment: str, strategy: str, eps: float,
         trace = identify(meas_p, model, init,
                          objective=_strategy_objective(strategy))
         abar = trace.final
-    erre, ridge = err_eps_q(abar, meas_q, coarse) if compute_err_eps_q \
-        else (None, None)
+    erre = ridge = None
+    if compute_err_eps_q:
+        setup_key = (key, coarse.n, "err_eps_q")
+        if setup_key not in meas_cache:
+            meas_cache[setup_key] = err_eps_q_setup(meas_q, coarse)
+        erre, ridge = err_eps_q(abar, meas_q, coarse, meas_cache[setup_key])
     return record(experiment, strategy, eps, abar, P=p, Q=q, r=r, seed=seed,
                   err_star=err_star(abar, a_star), err_eps_q=erre,
                   err_eps_q_ridge=ridge,

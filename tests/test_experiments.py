@@ -10,9 +10,9 @@ from effdiff import experiments
 from effdiff.coefficients import SymMat, constant_field, sample_checkerboard
 from effdiff.cli import RunConfig
 from effdiff.experiments import CSV_COLUMNS, DEFAULT_R, checkerboard_mean, \
-    coarse_mesh_n, err_eps_q, err_star, fine_mesh_n, identify_checkerboard, \
-    one_d_profile, parallel_map, sweep, take_measurements, take_modes, \
-    write_csv, write_json
+    coarse_mesh_n, err_eps_q, err_eps_q_setup, err_star, fine_mesh_n, \
+    identify_checkerboard, one_d_profile, parallel_map, sweep, \
+    take_measurements, take_modes, write_csv, write_json
 from effdiff.identify import CoarseModel, simulate_measurements
 from effdiff.mesh import build_unit_square_mesh
 from effdiff.modes import affine_modes
@@ -95,6 +95,15 @@ def test_err_eps_q_is_max_over_sampled_ratios():
         if den > 1e-14:
             worst = max(worst, math.sqrt(float(d @ (mass @ d)) / den))
     assert worst <= val + 1e-8
+
+
+def test_err_eps_q_with_its_setup_is_identical():
+    mesh, basis, meas = small_measurements()
+    at = SymMat(12.0, 0.5, 7.0)
+    with pytest.warns(UserWarning, match="ridge"):
+        fresh = err_eps_q(at, meas, mesh)
+        shared = err_eps_q(at, meas, mesh, err_eps_q_setup(meas, mesh))
+    assert shared == fresh
 
 
 def test_err_eps_q_requires_fields():
@@ -271,10 +280,9 @@ def test_noise_study_descents_share_one_surrogate(monkeypatch):
     assert records[-1]["snapshots"] == model.snapshots
     assert records[-1]["enrichments"] == model.enrichments
     for rec in records:
-        # the greedy's snapshots, and those its enrichments added since
+        # the snapshot of A = I, and those its enrichments added since
         assert 0 < rec["reduced_m"] <= model.m
-        assert rec["snapshots"] - rec["enrichments"] \
-            == model.snapshots - model.enrichments
+        assert rec["snapshots"] == 1 + rec["enrichments"]
     built.clear()
     experiments.coefficient_noise_study(eps=0.25, r=4.0, p=3, sigma=0.5,
                                         m1=2, coarse_h=0.2)
@@ -283,12 +291,19 @@ def test_noise_study_descents_share_one_surrogate(monkeypatch):
 
 def test_sweep_strategies_share_one_surrogate(monkeypatch):
     built = _count_models(monkeypatch)
+    setups = []
+    setup = experiments.err_eps_q_setup
+    monkeypatch.setattr(experiments, "err_eps_q_setup",
+                        lambda *a: setups.append(a) or setup(*a))
     records = sweep([0.25], ["ME", "MS", "A_star"], coefficient="checkerboard",
                     r=2.0, p=3, q=3, m1=2, coarse_h=0.2)
     assert [r["strategy"] for r in records] == ["ME", "MS", "A_star"]
     assert "error" not in records[0] and "error" not in records[1]
     # ME and MS descend on one surrogate; A_star descends on none
     assert len(built) == 1
+    # the three records' err_eps_q share its candidate-independent work
+    assert len(setups) == 1
+    assert all(r["err_eps_q"] > 0.0 for r in records)
     assert records[1]["snapshots"] >= records[0]["snapshots"] >= 1
     for key in ("reduced_m", "snapshots", "enrichments"):
         assert records[2][key] is None, key

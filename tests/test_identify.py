@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -138,7 +140,16 @@ def test_reduced_solutions_within_their_energy_bound(coarse_mesh, reduced):
                       * coarse_mesh.num_nodes * np.abs(out.energies)), a
 
 
-def test_candidate_outside_the_training_region_enriches(coarse_mesh):
+def test_new_model_factors_the_identity_alone(coarse_mesh, monkeypatch):
+    factors = _count_calls(monkeypatch, NeumannSolver, "__init__")
+    model = CoarseModel(coarse_mesh, compute_r_modes(coarse_mesh, 3))
+    assert len(factors) == 1
+    assert model.snapshots == 1 and model.enrichments == 0
+    # K(I)^+ B, orthonormalized: one direction per mode
+    assert model.m == 3
+
+
+def test_candidate_outside_the_reduced_space_enriches(coarse_mesh):
     basis = compute_r_modes(coarse_mesh, 3)
     model = CoarseModel(coarse_mesh, basis)
     m, snapshots = model.m, model.snapshots
@@ -161,6 +172,14 @@ def _near_singular(rng, ratio):
     return SymMat(a11, -ratio * np.sqrt(a11 * a22), a22)
 
 
+# whether the near-singular candidates of ratio 0.99, 0.999 and 0.9999
+# (anisotropy 2e2-3e2, 2e3 and 2e4) stay uncertified after their
+# enrichment: round-off in the bound, divided by lambda_min, exceeds
+# ENERGY_TOL
+_UNCERTIFIED = {8: (False, True, True), 29: (True, True, True),
+                71: (True, True, True)}
+
+
 @pytest.mark.parametrize("n", [8, 29, 71])
 def test_reduced_surrogate_matches_neumann_solver(n):
     mesh = build_unit_square_mesh(n)
@@ -169,8 +188,17 @@ def test_reduced_surrogate_matches_neumann_solver(n):
     rng = np.random.default_rng(n)
     candidates = [random_spd(rng) for _ in range(3)] + [
         _near_singular(rng, ratio) for ratio in (0.99, 0.999, 0.9999)]
-    for a in candidates:
-        out = model.evaluate(a)
+    for a, uncertified in zip(candidates, (False,) * 3 + _UNCERTIFIED[n]):
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            out = model.evaluate(a)
+        # an uncertified value says so and names its anisotropy; a
+        # certified one warns of nothing
+        expected = [(RuntimeWarning, True)] if uncertified else []
+        assert [(w.category, "anisotropy" in str(w.message))
+                for w in caught] == expected, a
+        assert uncertified == bool(np.any(
+            out.bound > ENERGY_TOL * np.abs(out.energies))), a
         exact, u = _exact(mesh, basis, a)
         # the exact solve's forward error grows like cond(A) (n + 1)^2
         lo, hi = a.eigenvalues()
@@ -189,9 +217,11 @@ def test_coarse_evaluation_assembles_nothing_and_builds_no_solver(
         raise AssertionError("the coarse surrogate left its reduced space")
 
     model = CoarseModel(coarse_mesh, compute_r_modes(coarse_mesh, 3))
+    a = SymMat(19.0, 0.3, 12.0)
+    model.evaluate(a)   # enriches the space with a's snapshot
     monkeypatch.setattr(solver_module.NeumannSolver, "__init__", forbidden)
     monkeypatch.setattr(solver_module, "assemble_stiffness", forbidden)
-    out = model.evaluate(SymMat(19.0, 0.3, 12.0))
+    out = model.evaluate(a)
     assert np.all(out.energies < 0.0)
 
 
@@ -342,13 +372,15 @@ def test_gradient_reuses_the_value_evaluation(small_periodic_setup,
                                               coarse_mesh, monkeypatch):
     meas = small_periodic_setup["meas"]
     model = coarse_model(meas, coarse_mesh)
+    at, other = SymMat(19.0, 0.2, 12.0), SymMat(19.0, 0.2, 12.5)
+    for a in (at, other):   # enrich the space with their snapshots
+        model.evaluate(a)
     calls = _count_calls(monkeypatch, CoarseModel, "evaluate")
     solutions = _count_calls(monkeypatch, CoarseEvaluation, "solutions")
     adjoints = _count_calls(monkeypatch, CoarseEvaluation, "solve")
     sensitivities = _count_calls(monkeypatch, CoarseEvaluation,
                                  "sensitivity")
     factors = _count_calls(monkeypatch, NeumannSolver, "__init__")
-    at, other = SymMat(19.0, 0.2, 12.0), SymMat(19.0, 0.2, 12.5)
     for kind in ("psi_sigma", "psi_max", "ms", "mv"):
         fn = make_objective(meas, model, kind)
         for log in (calls, solutions, adjoints, sensitivities):
@@ -367,7 +399,7 @@ def test_gradient_reuses_the_value_evaluation(small_periodic_setup,
         # another candidate is evaluated afresh
         assert fn(other)[0] != value
         assert len(calls) == 2, kind
-    # inside the trained region no evaluation factored a snapshot
+    # inside the enriched space no evaluation factored a snapshot
     assert factors == []
 
 
