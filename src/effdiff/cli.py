@@ -7,9 +7,8 @@ table, ``KEYS``, gives each config key its check and the runs that read it;
 a key that is unknown or that the run does not read is a schema violation.
 
 Exit codes: 0 success, 2 config file missing, 3 schema violation,
-4 size cap exceeded (mesh nodes: the desk profile's, or in any profile the
-int32 grid indices'; the points of ``one_d_profile`` in any profile),
-1 any other runtime failure.
+4 size cap exceeded (mesh nodes in the desk profile; the points of
+``one_d_profile`` in any profile), 1 any other runtime failure.
 """
 
 from __future__ import annotations
@@ -34,7 +33,6 @@ from .experiments import CHECKERBOARD_STRATEGIES, DEFAULT_COARSE_H, \
 from .homogenization import checkerboard_exact, homogenized_matrix
 from .identify import me_ms_identity_check
 from .mesh import build_periodic_cell_mesh, build_unit_square_mesh
-from .solver import MAX_GRID_NODES
 
 SCHEMA_VERSION = 1
 OUTPUT_ENV_VAR = "EFFDIFF_OUT_DIR"
@@ -306,16 +304,15 @@ def resolve_report(cfg: RunConfig) -> list[str]:
 
 
 def _count(nodes: int) -> str:
-    """A node count: in full up to ``MAX_GRID_NODES``, to four significant
-    digits beyond it (as a Decimal, since no float holds every count)."""
-    return str(nodes) if nodes <= MAX_GRID_NODES \
+    """A count: in full up to nine digits, to four significant digits
+    beyond (as a Decimal, since no float holds every count)."""
+    return str(nodes) if nodes < 10 ** 9 \
         else format(decimal.Decimal(nodes), ".3e")
 
 
 def dof_cap_error(cfg: RunConfig) -> str | None:
-    """Why the run exceeds a size cap, if it does: a node cap on a fine,
-    coarse or corrector-cell mesh (the desk profile's, or in any profile
-    the most nodes a grid's int32 indices hold), or ``ONE_D_MAX_POINTS`` on
+    """Why the run exceeds a size cap, if it does: the desk profile's node
+    cap on a fine, coarse or corrector-cell mesh, or ``ONE_D_MAX_POINTS`` on
     the quadrature points or grid candidates of ``one_d_profile``.  Raises
     ValueError, in any profile, for a size that no float holds."""
     meshes = [("fine", f"eps = {eps}, r = {cfg.resolved_r()}", "Reduce r",
@@ -334,10 +331,6 @@ def dof_cap_error(cfg: RunConfig) -> str | None:
             return (f"desk profile caps {mesh}-mesh nodes at {DESK_DOF_CAP}; "
                     f"{setting} needs {_count(nodes)}. "
                     f"{remedy} or use --profile full.")
-        if nodes > MAX_GRID_NODES:
-            return (f"int32 grid indices cap {mesh}-mesh nodes at "
-                    f"{MAX_GRID_NODES}; {setting} needs {_count(nodes)}. "
-                    f"{remedy}.")
     if cfg.experiment == "one_d_profile":
         eps, count = cfg.epsilons[0], cfg.grid[2]
         for what, setting, remedy, points in (

@@ -144,8 +144,9 @@ def err_eps_q(abar: SymMat, meas: Measurements, coarse_mesh: TriMesh,
     of the difference Gram against the measured-field Gram.  The candidate's
     coarse solutions come from one exact solve of the Q mode data, not from
     a reduced surrogate, and are interpolated onto the measurement mesh.
-    When the measured-field Gram is numerically singular, 1e-12 of its mean
-    diagonal is added to it, with a warning.  ``setup`` is
+    When the measured-field Gram is numerically singular, an eigenvalue no
+    larger than 1e-12 of its mean diagonal, that much is added to it, with
+    a warning.  ``setup`` is
     ``err_eps_q_setup(meas, coarse_mesh)``, computed here if not given.
     """
     interp, mass, modes, nmat = err_eps_q_setup(meas, coarse_mesh) \
@@ -154,16 +155,17 @@ def err_eps_q(abar: SymMat, meas: Measurements, coarse_mesh: TriMesh,
     diffs = meas.volume_fields - (interp @ u).T
     d = diffs @ (mass @ diffs.T)
 
-    ridge = None
-    try:
-        vals = sla.eigh(d, nmat, eigvals_only=True)
-    except sla.LinAlgError:
-        ridge = float(1e-12 * np.trace(nmat) / meas.count)
+    # whether a Cholesky of a singular Gram fails is a matter of rounding,
+    # so singular means an eigenvalue no larger than the ridge
+    ridge = float(1e-12 * np.trace(nmat) / meas.count)
+    if np.linalg.eigvalsh(nmat)[0] > ridge:
+        ridge = None
+    else:
         warnings.warn(
             f"measured-field Gram numerically singular; adding ridge "
             f"{ridge:.3e}")
-        vals = sla.eigh(d, nmat + ridge * np.eye(meas.count),
-                        eigvals_only=True)
+        nmat = nmat + ridge * np.eye(meas.count)
+    vals = sla.eigh(d, nmat, eigvals_only=True)
     return float(math.sqrt(max(vals[-1], 0.0))), ridge
 
 

@@ -182,11 +182,12 @@ class CoarseModel:
     A new model holds the snapshot of A = I alone, whose factor also
     applies K(I)^+.  V grows along the path of the candidates evaluated: a
     candidate with an energy whose bound exceeds ``ENERGY_TOL`` of it adds
-    its own snapshot (``enrichments``) before it is returned.  Then the
-    bound is within ``ENERGY_TOL`` unless round-off in the bound's
-    quadratic form, divided by lambda_min(A), dominates it, which happens
-    at anisotropies of a few hundred and more; such a value is returned
-    with a ``RuntimeWarning`` that names the anisotropy and the bound.
+    its own snapshot (``enrichments``) before it is returned, once per
+    shape.  Then the bound is within ``ENERGY_TOL`` unless round-off in the
+    bound's quadratic form, divided by lambda_min(A), dominates it, which
+    happens at anisotropies of a few hundred and more; such a value is
+    returned with a ``RuntimeWarning`` that names the anisotropy and the
+    bound, at every evaluation.
     ``snapshots`` counts the shapes factored, 1 + ``enrichments``.  A model
     changes as it is enriched: share it within one thread only.
     """
@@ -216,8 +217,14 @@ class CoarseModel:
         # with itself, of DV with K12 V (symmetrized), and of K12 V
         self._h = np.empty((2, p, 0))
         self._g = np.empty((3, 0, 0))
-        self.snapshots, self.enrichments = 1, 0
+        self.enrichments = 0
+        self._shapes = {tuple(SymMat.identity().vec())}   # those factored
         self._extend(self._b_dual)
+
+    @property
+    def snapshots(self) -> int:
+        """The shapes factored, 1 + ``enrichments``."""
+        return len(self._shapes)
 
     @property
     def m(self) -> int:
@@ -228,7 +235,7 @@ class CoarseModel:
         """Add the exact solutions at ``shape`` and their mirror images."""
         u = NeumannSolver(self.mesh, constant_field(SymMat.from_vec(
             shape))).solve(self.basis.modes.T)
-        self.snapshots += 1
+        self._shapes.add(tuple(shape))
         self._extend(np.hstack([u, u[self._mirror]]))
 
     def _extend(self, u: np.ndarray) -> None:
@@ -300,9 +307,11 @@ class CoarseModel:
         a = abar.vec()
         x, compliance, bound = self._solve(a)
         if np.any(bound > 0.5 * ENERGY_TOL * np.abs(np.diagonal(compliance))):
-            self._snapshot(a)
-            self.enrichments += 1
-            x, compliance, bound = self._solve(a)
+            # a shape already in V adds no direction a second time
+            if tuple(a) not in self._shapes:
+                self._snapshot(a)
+                self.enrichments += 1
+                x, compliance, bound = self._solve(a)
             rel = np.max(2.0 * bound / np.abs(np.diagonal(compliance)))
             if rel > ENERGY_TOL:
                 lo, hi = abar.eigenvalues()

@@ -142,17 +142,14 @@ def test_dof_cap_exceeded(tmp_path, capsys):
     assert "caps fine-mesh nodes" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("coarse_h, full_exit", [
-    pytest.param(1e-300, EXIT_DOF_CAP, id="1e-300"),
-    pytest.param(0.0005, EXIT_OK, id="0.0005"),
-    pytest.param(8.2e-5, EXIT_OK, id="8.2e-05"),
-    pytest.param(8e-5, EXIT_DOF_CAP, id="8e-05")])
-def test_dof_cap_covers_the_coarse_mesh(tmp_path, capsys, coarse_h,
-                                        full_exit):
-    # (ceil(sqrt(2) / 0.0005) + 1)^2 = 8,008,900 nodes, past the desk cap.
-    # In every profile 7 (n + 1)^2 stencil entries must fit an int32: they
-    # do for n = 17,247 (coarse_H = 8.2e-5, 297,493,504 nodes), not for
-    # n = 17,678 (8e-5, 312,547,041), nor for about 2e600 nodes (1e-300)
+@pytest.mark.parametrize("coarse_h", [
+    pytest.param(1e-300, id="1e-300"),
+    pytest.param(0.0005, id="0.0005"),
+    pytest.param(8.2e-5, id="8.2e-05"),
+    pytest.param(8e-5, id="8e-05")])
+def test_dof_cap_covers_the_coarse_mesh(tmp_path, capsys, coarse_h):
+    # (ceil(sqrt(2) / 0.0005) + 1)^2 = 8,008,900 nodes, past the desk cap;
+    # the full profile caps no mesh, even of about 2e600 nodes (1e-300)
     doc = {"schema_version": 1, "experiment": "sweep", "epsilons": [0.2],
            "coarse_H": coarse_h}
     assert main([write_config(tmp_path, doc), "--validate"]) == EXIT_DOF_CAP
@@ -161,24 +158,17 @@ def test_dof_cap_covers_the_coarse_mesh(tmp_path, capsys, coarse_h,
     if coarse_h == 1e-300:
         assert "needs 2.000e+600." in err and len(err) < 200
     doc["profile"] = "full"
-    assert main([write_config(tmp_path, doc), "--validate"]) == full_exit
+    assert main([write_config(tmp_path, doc), "--validate"]) == EXIT_OK
     out, err = capsys.readouterr()
-    if full_exit == EXIT_OK:
-        assert f"coarse n = {math.ceil(math.sqrt(2.0) / coarse_h)})" in out
-    else:
-        assert out == "" and len(err) < 200
-        assert "int32 grid indices cap coarse-mesh nodes at 306783378" in err
+    assert f"coarse n = {math.ceil(math.sqrt(2.0) / coarse_h)})" in out
 
 
 def test_dof_cap_covers_the_corrector_cell(tmp_path, capsys):
     # A* solves cells 10,000, 20,000 and 40,000: the last has 1.6e9 nodes
-    doc = {"schema_version": 1, "experiment": "homogenize", "cell_n": 40000}
-    for profile, cap in (("desk", "desk profile caps"),
-                         ("full", "int32 grid indices cap")):
-        doc["profile"] = profile
-        assert main([write_config(tmp_path, doc), "--validate"]) \
-            == EXIT_DOF_CAP
-        assert f"{cap} cell-mesh nodes" in capsys.readouterr().err
+    doc = {"schema_version": 1, "experiment": "homogenize", "cell_n": 40000,
+           "profile": "desk"}
+    assert main([write_config(tmp_path, doc), "--validate"]) == EXIT_DOF_CAP
+    assert "desk profile caps cell-mesh nodes" in capsys.readouterr().err
 
 
 def test_validate_reports_resolution(tmp_path, capsys):

@@ -225,17 +225,44 @@ def reference_matrices(mesh, field):
     return k, m
 
 
-def factored_blocks(monkeypatch):
-    """The matrices handed to SuperLU while the monkeypatch holds."""
-    blocks = []
-    splu = solver_module.spla.splu
+def factored_inputs(monkeypatch):
+    """The stencil values and fronts handed to PinnedLU while the
+    monkeypatch holds."""
+    inputs = []
 
-    def recording(a, *args, **kwargs):
-        blocks.append(a)
-        return splu(a, *args, **kwargs)
+    class Recording(solver_module.PinnedLU):
+        def __init__(self, values, fronts, weights):
+            inputs.append((values, fronts))
+            super().__init__(values, fronts, weights)
 
-    monkeypatch.setattr(solver_module.spla, "splu", recording)
-    return blocks
+    monkeypatch.setattr(solver_module, "PinnedLU", Recording)
+    return inputs
+
+
+def node_rank(fronts):
+    """For each position of the elimination order, the index of its
+    unknown among the unknowns in node order."""
+    rank = np.empty_like(fronts.order)
+    rank[np.argsort(fronts.order)] = np.arange(len(fronts.order))
+    return rank
+
+
+def fed_matrix(values, fronts):
+    """The dense symmetric matrix that the fronts are fed from the stencil
+    values ``values``, unknowns in node order: a front holds row a of its
+    own unknowns from a on."""
+    buf = np.bincount(fronts.dst, weights=values.ravel()[fronts.src],
+                      minlength=fronts.size)
+    rank = node_rank(fronts)
+    k = np.zeros((len(rank), len(rank)))
+    for f, (e, r) in enumerate(zip(fronts.e, fronts.r)):
+        at, s = fronts.offset[f], fronts.start[f]
+        ring = fronts.ring[fronts.ring_start[f]:fronts.ring_start[f] + r]
+        rows = rank[s:s + e]
+        k[np.ix_(rows, rows)] = np.triu(buf[at:at + e * e].reshape(e, e))
+        k[np.ix_(rows, rank[ring])] = buf[at + e * e:at + e * (e + r)] \
+            .reshape(e, r)
+    return k + k.T - np.diag(np.diag(k))
 
 
 def without(k, pin):
@@ -259,7 +286,7 @@ def test_barycenters_match_triangle_geometry_bit_for_bit():
 def test_assembly_matches_barycentric_reference(n, periodic, monkeypatch):
     mesh = (build_periodic_cell_mesh if periodic
             else build_unit_square_mesh)(n)
-    blocks = factored_blocks(monkeypatch)
+    inputs = factored_inputs(monkeypatch)
     fields = [random_triangle_field(n, n), sample_checkerboard(n, 0.3),
               periodic_smooth_field() if periodic
               else scale_epsilon(periodic_smooth_field(), 0.3)]
@@ -273,20 +300,18 @@ def test_assembly_matches_barycentric_reference(n, periodic, monkeypatch):
             # the factored block is the full stiffness without the node
             # nearest the centre, bit for bit
             NeumannSolver(mesh, field)
-            assert np.array_equal(blocks.pop().T.toarray(),
+            assert np.array_equal(fed_matrix(*inputs.pop()),
                                   without(k.toarray(), n // 2 * (n + 2)))
             continue
-        # the periodic matrix sums the images of each class
-        red = periodic_reduction(mesh)
-        k_red = red.T @ k_ref @ red
-        k_cell = solver_module._periodic_matrix(
-            solver_module._stiffness_rows(n, field)).toarray()
-        assert np.abs(k_cell - k_red).max() <= 1e-14 * np.abs(k_red).max()
         if field.kind == "periodic_analytic":
-            # the corrector pins the last class
+            # the corrector's block sums the images of each class, and
+            # pins the last class
             CorrectorSolver(mesh, field)
-            assert np.array_equal(blocks.pop().T.toarray(),
-                                  without(k_cell, n * n - 1))
+            red = periodic_reduction(mesh)
+            k_red = without(red.T @ k_ref @ red, n * n - 1)
+            k_cell = fed_matrix(*inputs.pop())
+            assert np.abs(k_cell - k_red).max() \
+                <= 1e-14 * np.abs(k_red).max()
 
 
 def test_assembly_work_is_done_once_per_grid(monkeypatch):
@@ -410,17 +435,112 @@ def test_pinned_corrector_solve_matches_dense_reference(n, field):
         assert np.abs(u - solver.solve(p)).max() <= 1e-13 * np.abs(u).max()
 
 
-def test_factored_matrix_stores_no_zeros(monkeypatch):
-    # the diagonal couplings of a diagonal coefficient are exact zeros;
-    # they are dropped before the factorization
+def test_factor_fill_depends_on_the_grid_alone(monkeypatch):
+    # the fronts are dense, so a diagonal coefficient, whose diagonal
+    # couplings are exact zeros, fills as much as a sheared one; each
+    # coupling of the 7-point stencil inside the grid, or on the periodic
+    # classes, is fed once, less the 7 of the pinned unknown
     n = 12
-    factored = factored_blocks(monkeypatch)
-    NeumannSolver(build_unit_square_mesh(n), sample_checkerboard(1, 0.25))
-    CorrectorSolver(build_periodic_cell_mesh(n), periodic_smooth_field())
-    # every coupling of the 7-point stencil inside the grid, or on the
-    # periodic classes, less the 13 of the pinned unknown
-    full = ((n + 1) ** 2 + 4 * n * (n + 1) + 2 * n * n - 13, 7 * n * n - 13)
-    assert len(factored) == len(full)
-    for a, nnz in zip(factored, full):
-        assert np.all(a.data != 0.0)
-        assert a.nnz < nnz
+    inputs = factored_inputs(monkeypatch)
+    mesh, cell = build_unit_square_mesh(n), build_periodic_cell_mesh(n)
+    solvers = [NeumannSolver(mesh, sample_checkerboard(1, 0.25)),
+               NeumannSolver(mesh, random_triangle_field(n, 1)),
+               CorrectorSolver(cell, periodic_smooth_field()),
+               CorrectorSolver(cell, sheared_periodic_field())]
+    assert solvers[0]._lu.nnz == solvers[1]._lu.nnz
+    assert solvers[2]._lu.nnz == solvers[3]._lu.nnz
+    fed = ((n + 1) ** 2 + 2 * n * (n + 1) + n * n - 7, 4 * n * n - 7)
+    for (_, fronts), count in zip(inputs[::2], fed):
+        assert len(fronts.dst) == len(np.unique(fronts.dst)) == count
+
+
+GRIDS = [pytest.param(n, False, id=f"square-{n}") for n in (1, 2, 3, 5, 16)] \
+    + [pytest.param(n, True, id=f"torus-{n}") for n in (2, 3, 4, 16)]
+
+
+def grid_pin(n, periodic):
+    """The unknown each solver pins: the last class, or the node nearest
+    the centre."""
+    return n * n - 1 if periodic else n // 2 * (n + 2)
+
+
+@pytest.mark.parametrize("n, periodic", GRIDS)
+def test_fronts_eliminate_every_unknown_once(n, periodic):
+    pin = grid_pin(n, periodic)
+    fronts = solver_module._Fronts(n, periodic, pin)
+    nodes = n * n if periodic else (n + 1) ** 2
+    assert np.array_equal(np.sort(fronts.order),
+                          np.delete(np.arange(nodes), pin))
+    # the fronts, in postorder, take the positions in turn, and every
+    # parent comes after its children
+    assert np.array_equal(fronts.start, np.cumsum(fronts.e) - fronts.e)
+    assert np.all(fronts.e > 0)
+    assert np.all((fronts.parent > np.arange(len(fronts.e)))
+                  | (fronts.parent == -1))
+    for f, (s, e, r) in enumerate(zip(fronts.start, fronts.e, fronts.r)):
+        ring = fronts.ring[fronts.ring_start[f]:fronts.ring_start[f] + r]
+        assert np.all(np.diff(ring) > 0) and np.all(ring >= s + e)
+        up = fronts.parent[f]
+        if up < 0:
+            assert r == 0
+            continue
+        # a child's update lies in its parent's front
+        top = fronts.start[up] + fronts.e[up]
+        theirs = fronts.ring[fronts.ring_start[up]:
+                             fronts.ring_start[up] + fronts.r[up]]
+        assert np.all(np.isin(ring, np.concatenate(
+            [np.arange(fronts.start[up], top), theirs])))
+
+
+def dense_factor(lu):
+    """L of a PinnedLU, dense, its unknowns in elimination order."""
+    size = max(t for _, t, *_ in lu._blocks)
+    lower = np.zeros((size, size))
+    for s, t, l11, l21, ring in lu._blocks:
+        lower[s:t, s:t] = np.tril(l11)
+        lower[ring, s:t] = l21.T
+    return lower
+
+
+@pytest.mark.parametrize("n, periodic", GRIDS)
+def test_factor_reproduces_the_pinned_stiffness(n, periodic):
+    # on the 2-torus two stencil couplings land on one entry and are
+    # summed
+    pin = grid_pin(n, periodic)
+    field = sheared_periodic_field() if periodic else random_triangle_field(
+        n, n)
+    mesh = (build_periodic_cell_mesh if periodic
+            else build_unit_square_mesh)(n)
+    k_ref, _ = reference_matrices(mesh, field)
+    if periodic:
+        solver = CorrectorSolver(mesh, field)
+        red = periodic_reduction(mesh)
+        k_ref = red.T @ k_ref @ red
+    else:
+        solver = NeumannSolver(mesh, field)
+    fronts = solver_module._fronts(n, periodic, pin)
+    rank = node_rank(fronts)
+    k = without(k_ref, pin)[np.ix_(rank, rank)]
+    lower = dense_factor(solver._lu)
+    assert np.abs(lower @ lower.T - k).max() <= 1e-14 * np.abs(k).max()
+
+
+def indefinite_field(kind):
+    """a11 = a22 = 1 and a12 = 3 on the left half, the identity on the
+    right, declared coercive."""
+    def ev(points):
+        out = np.zeros((points.shape[0], 2, 2))
+        out[:, 0, 0] = out[:, 1, 1] = 1.0
+        out[:, 0, 1] = out[:, 1, 0] = np.where(points[:, 0] < 0.5, 3.0, 0.0)
+        return out
+
+    return CoefficientField(kind, ev, alpha=1.0)
+
+
+def test_failed_pivot_raises():
+    with pytest.raises(ValueError, match="8-grid is not positive definite"):
+        NeumannSolver(build_unit_square_mesh(8), indefinite_field("random"))
+    with pytest.raises(ValueError,
+                       match="periodic 8-grid is not positive definite"):
+        CorrectorSolver(build_periodic_cell_mesh(8),
+                        indefinite_field("periodic_analytic"))
