@@ -16,6 +16,7 @@ from __future__ import annotations
 import argparse
 import decimal
 import json
+import math
 import os
 import sys
 import time
@@ -198,8 +199,11 @@ KEYS = {
     "P": (SWEEPS + NOISE_STUDIES, "'auto' or a positive integer",
           lambda v: v == "auto" or _int_from(1)(v),
           lambda v: {"p": None if v == "auto" else v}),
-    "coarse_H": (SWEEPS + NOISE_STUDIES, "a finite positive number",
-                 _positive),
+    # at coarse n = 1 the four boundary nodes are corners, and every
+    # strategy's run failed there
+    "coarse_H": (SWEEPS + NOISE_STUDIES, "a finite positive number below "
+                 "sqrt(2), so that the coarse mesh has n >= 2",
+                 lambda v: _positive(v) and v < math.sqrt(2.0)),
     "r": (SWEEPS + FIRST_EPSILON_EXPERIMENTS, "a finite positive number",
           _positive),
     "M1": (("identify on checkerboard", "sweep on checkerboard",
@@ -260,6 +264,10 @@ def load_config(path: str) -> RunConfig:
         unknown = [s for s in cfg.strategies if s not in allowed]
         _expect(not unknown, f"strategies {unknown} do not run on "
                              f"{cfg.coefficient}; expected from {allowed}")
+        _expect(cfg.coefficient != "checkerboard"
+                or all(eps <= 1.0 for eps in cfg.epsilons),
+                f"'epsilons' must be <= 1 on the checkerboard, whose cells "
+                f"have side eps; got {cfg.epsilons}")
         for eps in cfg.epsilons:
             p = resolve_p(eps, cfg.p)
             _expect(cfg.q >= p, f"Q = {cfg.q} < P = {p} at eps = {eps}")
@@ -342,6 +350,22 @@ def dof_cap_error(cfg: RunConfig) -> str | None:
                 return (f"one_d_profile caps {what} at {ONE_D_MAX_POINTS}; "
                         f"{setting} needs {_count(points)}. {remedy}.")
     return None
+
+
+def check_fine_modes(cfg: RunConfig) -> None:
+    """Raise SchemaError when the fine mesh of an epsilon cannot carry the
+    R-modes the run computes on it: Q for a sweep, P for a noise study.
+    A mesh of n subdivisions has 4 n boundary nodes and at most 4 n - 1
+    modes of zero boundary mean."""
+    if not reads(cfg, "P"):     # the runs without an R-mode eigensolve
+        return
+    key = "Q" if reads(cfg, "Q") else "P"
+    for eps in cfg.run_epsilons():
+        n = cfg.fine_n(eps)
+        count = cfg.q if key == "Q" else resolve_p(eps, cfg.p)
+        _expect(count <= 4 * n - 1,
+                f"{key!r} = {count} exceeds the {4 * n - 1} modes of the "
+                f"fine mesh at eps = {eps} (n = {n}); raise r or lower {key}")
 
 
 def run_experiment(cfg: RunConfig) -> list[dict]:
@@ -459,7 +483,8 @@ def main(argv: list[str] | None = None) -> int:
 
     try:
         cap_error = dof_cap_error(cfg)
-    except ValueError as exc:    # a size that no float holds
+        check_fine_modes(cfg)   # after the overrides, which set the profile
+    except ValueError as exc:    # also a size that no float holds
         print(f"error: invalid config: {exc}", file=sys.stderr)
         return EXIT_SCHEMA
     if cap_error:

@@ -193,19 +193,18 @@ def one_d_quad_points(eps: float) -> int:
 
 
 def one_d_profile(a_per: Callable[[np.ndarray], np.ndarray], eps: float,
-                  abar_grid: Sequence[float],
-                  quad_points: int | None = None) -> np.ndarray:
+                  abar_grid: Sequence[float]) -> np.ndarray:
     """Objective profile of the one-dimensional problem over a grid.
 
     With the two-point boundary datum the energy reduces to minus a
     quarter of the inverse-coefficient integral, so the mismatch is a
-    quarter of the inverse-mean gap.  Returns rows (abar, value).
+    quarter of the inverse-mean gap, integrated by the midpoint rule on
+    ``one_d_quad_points(eps)`` points.  Returns rows (abar, value).
     """
     grid = np.asarray(abar_grid, dtype=float)
     if np.any(grid <= 0.0):
         raise ValueError("candidate grid must be positive")
-    if quad_points is None:
-        quad_points = one_d_quad_points(eps)
+    quad_points = one_d_quad_points(eps)
     xs = (np.arange(quad_points) + 0.5) / quad_points
     vals = np.asarray(a_per(xs / eps), dtype=float)
     if np.any(vals <= 0.0):

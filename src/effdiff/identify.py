@@ -466,23 +466,23 @@ def apply_measurement_noise(meas: Measurements,
     return replace(meas, energies=noisy, cross=None, volume_fields=None)
 
 
-def draw_matrix_perturbations(abar: SymMat, spec: NoiseSpec,
-                              max_factor: int = 50):
+def draw_matrix_perturbations(abar: SymMat, spec: NoiseSpec):
     """Seeded Gaussian perturbations of the candidate, resampled to SPD.
 
     Each draw is the candidate plus a fixed seeded offset, and the same
     seed accepts the same offsets for nearby candidates, so the noisy
     objective is a smooth function of the candidate with an exact gradient.
-    Returns (list of SymMat, rejection count).
+    Returns (list of SymMat, rejection count).  Raises ValueError after 50
+    attempts per draw, or when, after 2 attempts per draw, more than half
+    of the attempts were rejected.
     """
     rng = np.random.default_rng(spec.seed)
     out: list[SymMat] = []
     rejected = 0
     attempts = 0
-    limit = max_factor * spec.draws
     while len(out) < spec.draws:
-        if attempts >= limit or (attempts >= 2 * spec.draws
-                                 and rejected > attempts / 2):
+        if attempts >= 50 * spec.draws or (attempts >= 2 * spec.draws
+                                           and rejected > attempts / 2):
             raise ValueError(
                 f"perturbation rejection rate too high: {rejected} of "
                 f"{attempts} draws left the positive-definite cone at "

@@ -27,6 +27,7 @@ import scipy.sparse.linalg as spla
 
 from .mesh import TriMesh, boundary_mass_matrix, interpolate_boundary, \
     zero_mean_project
+from .solver import one_blas_thread
 
 
 @dataclass(frozen=True)
@@ -208,7 +209,8 @@ def _sector_basis(symmetries: list[np.ndarray],
     return b[:, np.diff(b.indptr) > 0]
 
 
-def compute_r_modes(mesh: TriMesh, p_count: int, tol: float = 1e-10) -> ModeBasis:
+@one_blas_thread()
+def compute_r_modes(mesh: TriMesh, p_count: int) -> ModeBasis:
     """Top eigenpairs of the Neumann-to-Dirichlet Laplace operator.
 
     Modes are orthonormal in the boundary mass inner product, have zero
@@ -221,7 +223,8 @@ def compute_r_modes(mesh: TriMesh, p_count: int, tol: float = 1e-10) -> ModeBasi
     each other are equal bit for bit.  A mode of the two-dimensional sector
     is followed by its quarter turn, the second mode of its eigenvalue.
     Signs follow ``fix_sign``, so the basis does not depend on the
-    eigensolver's start vector or rounding.
+    eigensolver's start vector or rounding.  It runs on one BLAS thread,
+    like the sparse factor, so it does not depend on the thread count.
     """
     nb = mesh.num_boundary_dofs
     if not 1 <= p_count <= nb - 1:
@@ -258,7 +261,7 @@ def compute_r_modes(mesh: TriMesh, p_count: int, tol: float = 1e-10) -> ModeBasi
     vals, cs = extreme_eigenpairs(apply_op, dim=dim,
                                   nev=min(p_count, dim - 1),
                                   deflate=restrict(np.ones(nb)),
-                                  which="LA", tol=tol)
+                                  which="LA")
     if np.any(vals <= 0.0):
         raise EigensolverError(
             f"Neumann-to-Dirichlet operator produced non-positive "

@@ -480,10 +480,12 @@ def _local_blas_threads() -> tuple:
 
 
 @contextlib.contextmanager
-def _one_blas_thread():
-    """Run the dense fronts on one BLAS thread.  OpenBLAS splits a large
-    front across threads in an order that changes its rounding, and a
-    corrector's A* then moved with the BLAS thread count."""
+def one_blas_thread():
+    """Run the block, or the function it decorates, on one BLAS thread of
+    each OpenBLAS found.  OpenBLAS splits a large product across threads in
+    an order that changes its rounding, so the dense fronts of ``PinnedLU``
+    and the R-mode eigensolve, and every record after them, moved with the
+    BLAS thread count."""
     old = [setter(1) for setter in _local_blas_threads()]
     try:
         yield
@@ -512,7 +514,7 @@ class PinnedLU:
                  weights: np.ndarray):
         self._order, self._weights = fronts.order, weights
         self.nnz = fronts.nnz
-        with _one_blas_thread():
+        with one_blas_thread():
             self._blocks = self._factor(
                 np.bincount(fronts.dst, weights=values.ravel()[fronts.src],
                             minlength=fronts.size), fronts)
@@ -554,7 +556,7 @@ class PinnedLU:
         y = loads[order]
         y -= w[order, None] * (loads.sum(axis=0) / w.sum())
         trsm = blas.dtrsm
-        with _one_blas_thread():
+        with one_blas_thread():
             for s, t, l11, l21, ring in self._blocks:
                 trsm(1.0, l11, y[s:t].T, side=1, lower=1, trans_a=1,
                      overwrite_b=1)

@@ -107,11 +107,27 @@ def test_schema_violations(tmp_path, capsys):
          "r": 1e308, "profile": "full"},
         {"schema_version": 1, "experiment": "noise_measurement",
          "epsilons": [1e-308]},
+        # each of these validated and then failed its run: the checkerboard's
+        # cells need eps <= 1, a fine mesh of n carries at most 4 n - 1
+        # modes (Q of a sweep, P of a noise study), and a coarse mesh of
+        # n = 1 has only corners on its boundary
+        {"schema_version": 1, "experiment": "sweep",
+         "coefficient": "checkerboard", "epsilons": [2.0],
+         "strategies": ["ME"], "P": 3, "Q": 3, "M1": 1},
+        {"schema_version": 1, "experiment": "identify", "epsilons": [3.0],
+         "strategies": ["ME"], "P": 3, "Q": 11, "r": 1},
+        {"schema_version": 1, "experiment": "noise_measurement",
+         "epsilons": [3.0], "P": 5, "r": 1},
+        {"schema_version": 1, "experiment": "sweep", "epsilons": [0.5],
+         "strategies": ["ME", "MS", "MV"], "r": 4, "coarse_H": 1.5},
+        {"schema_version": 1, "experiment": "noise_measurement",
+         "epsilons": [0.5], "r": 4, "coarse_H": math.sqrt(2.0)},
     ]
     for doc in cases:
-        code = main([write_config(tmp_path, doc)])
-        assert code == EXIT_SCHEMA, doc
-        assert "invalid config" in capsys.readouterr().err
+        for validate in ([], ["--validate"]):
+            code = main([write_config(tmp_path, doc)] + validate)
+            assert code == EXIT_SCHEMA, (doc, validate)
+            assert "invalid config" in capsys.readouterr().err
     bad_json = tmp_path / "bad.json"
     bad_json.write_text("{not json")
     assert main([str(bad_json)]) == EXIT_SCHEMA
@@ -297,12 +313,11 @@ def test_sweep_runs_deterministically(tmp_path):
 
 
 def test_records_across_blas_thread_counts(tmp_path):
-    # the README's contract: at a fixed BLAS thread count a re-run
-    # reproduces every field but wall_ms; between 1 and 2 threads the
-    # matrix entries, psi_final and grad_norm stay within its stated
-    # relative bounds and iters is unchanged
-    doc = {"schema_version": 1, "experiment": "sweep", "epsilons": [0.25],
-           "strategies": ["ME", "MS", "A_star"], "P": 3, "Q": 5, "r": 4,
+    # the README's rule: every field but wall_ms is byte-identical at any
+    # BLAS thread count.  At eps = 0.1 the fine mesh (n = 283) is large
+    # enough that a free R-mode eigensolve rounds differently on 2 threads
+    doc = {"schema_version": 1, "experiment": "sweep", "epsilons": [0.1],
+           "strategies": ["ME", "MS", "A_star"], "P": 3, "Q": 5,
            "coarse_H": 0.2}
     path = write_config(tmp_path, doc)
     runs = []
@@ -318,16 +333,8 @@ def test_records_across_blas_thread_counts(tmp_path):
         records = json.loads((out / "results.json").read_text())["records"]
         runs.append([{key: v for key, v in rec.items() if key != "wall_ms"}
                      for rec in records])
-    assert runs[0] == runs[1] and runs[2] == runs[3]
-    bounds = {"a11": 1.4e-11, "a12": 1.4e-11, "a22": 1.4e-11,
-              "psi_final": 4.5e-11, "grad_norm": 1.8e-9}
     assert [rec["strategy"] for rec in runs[0]] == ["ME", "MS", "A_star"]
-    for one, two in zip(runs[0], runs[2]):
-        assert one["iters"] == two["iters"], one["strategy"]
-        for key, bound in bounds.items():
-            if one[key] is not None:
-                assert abs(one[key] - two[key]) <= bound * abs(one[key]), \
-                    (one["strategy"], key)
+    assert runs[1] == runs[0] and runs[2] == runs[0] and runs[3] == runs[0]
 
 
 def test_me_ms_check_experiment(tmp_path):

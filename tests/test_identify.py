@@ -3,8 +3,8 @@ import warnings
 import numpy as np
 import pytest
 
-from effdiff.coefficients import SymMat, constant_field, mean_over_cell, \
-    periodic_smooth_field, sample_checkerboard, scale_epsilon
+from effdiff.coefficients import CoefficientField, SymMat, constant_field, \
+    mean_over_cell, periodic_smooth_field, sample_checkerboard, scale_epsilon
 from effdiff.identify import ENERGY_TOL, CoarseEvaluation, CoarseModel, \
     Measurements, NoiseSpec, apply_measurement_noise, assemble_m, \
     coarse_model, descend, draw_matrix_perturbations, fd_gradient, identify, \
@@ -525,6 +525,37 @@ def test_argmax_invariant_under_common_scaling(small_periodic_setup,
     _, v1 = psi_max_from_m(m)
     _, v2 = psi_max_from_m(3.7 * m)
     assert np.abs(v1 - v2).max() < 1e-12
+
+
+def test_identification_is_mirror_equivariant():
+    # the reflection (x, y) -> (y, x) maps the R-mode basis onto itself up
+    # to signs, so the mirrored field, identified from the mirrored start,
+    # gives the same energies and the mirror of the identified matrix
+    field = scale_epsilon(periodic_smooth_field(), 0.2)
+    mirrored = CoefficientField(
+        field.kind, lambda pts: field(pts[:, ::-1])[:, ::-1, ::-1],
+        field.alpha)
+    fine = build_unit_square_mesh(57)   # eps = 0.2, r = 8
+    coarse = build_unit_square_mesh(29)   # coarse_H = 0.05
+    basis = compute_r_modes(fine, 5)
+
+    def mirror(a):
+        return SymMat(a.a22, a.a12, a.a11)
+
+    def identified(f, start):
+        meas = simulate_measurements(fine, f, basis)
+        return meas.energies, identify(meas, coarse_model(meas, coarse),
+                                       start)
+
+    init = mean_over_cell(periodic_smooth_field())
+    e, trace = identified(field, init)
+    e_mirror, trace_mirror = identified(mirrored, mirror(init))
+    assert np.abs(e_mirror - e).max() <= 1e-12 * np.abs(e).max()
+    a = trace.final
+    err = SymMat.from_vec(mirror(trace_mirror.final).vec() - a.vec())
+    assert err.frobenius() <= 1e-12 * a.frobenius()
+    assert trace_mirror.iterations == trace.iterations
+    assert trace_mirror.termination == trace.termination
 
 
 # ---------------------------------------------------------------------------
