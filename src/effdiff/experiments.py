@@ -286,7 +286,8 @@ def _identify_record(experiment: str, strategy: str, eps: float,
     affine family.  A ``meas_cache`` holds the measurements once per
     ``key``, the candidate-independent part of ``err_eps_q`` once per key
     and coarse mesh, and the coarse surrogate once per key, coarse mesh and
-    mode family, so the strategies of one measurement share them."""
+    mode family, so the strategies of one measurement share them.  P is
+    the mode count of the fit: the 3 affine data for ME-affine."""
     p = resolve_p(eps, p)
     if q < p:
         raise ValueError(f"need Q >= P, got Q={q}, P={p}")
@@ -297,7 +298,7 @@ def _identify_record(experiment: str, strategy: str, eps: float,
     meas_q = meas_cache[key]
     coarse = build_unit_square_mesh(coarse_mesh_n(coarse_h))
 
-    abar, trace, model = a_star, None, None
+    abar, trace, model, count = a_star, None, None, p
     if strategy != "A_star":
         if strategy == "ME-affine":
             meas_p = simulate_measurements(meas_q.mesh, affine_field,
@@ -310,15 +311,15 @@ def _identify_record(experiment: str, strategy: str, eps: float,
         model = meas_cache[model_key]
         trace = identify(meas_p, model, init,
                          objective=_strategy_objective(strategy))
-        abar = trace.final
+        abar, count = trace.final, meas_p.count
     erre = ridge = None
     if compute_err_eps_q:
         setup_key = (key, coarse.n, "err_eps_q")
         if setup_key not in meas_cache:
             meas_cache[setup_key] = err_eps_q_setup(meas_q, coarse)
         erre, ridge = err_eps_q(abar, meas_q, coarse, meas_cache[setup_key])
-    return record(experiment, strategy, eps, abar, P=p, Q=q, r=r, seed=seed,
-                  err_star=err_star(abar, a_star), err_eps_q=erre,
+    return record(experiment, strategy, eps, abar, P=count, Q=q, r=r,
+                  seed=seed, err_star=err_star(abar, a_star), err_eps_q=erre,
                   err_eps_q_ridge=ridge,
                   wall_ms=1000.0 * (time.perf_counter() - t0), **extra,
                   energies=[float(e) for e in meas_q.energies],

@@ -63,14 +63,12 @@ def fix_sign(v: np.ndarray) -> np.ndarray:
 def extreme_eigenpairs(apply_op: Callable[[np.ndarray], np.ndarray],
                        dim: int, nev: int,
                        deflate: np.ndarray | None = None,
-                       which: str = "LA", tol: float = 1e-10,
                        seed: int = 12345):
-    """Extreme eigenpairs of a symmetric operator by ARPACK's Lanczos.
+    """Largest algebraic eigenpairs of a symmetric operator by ARPACK's
+    Lanczos, largest first.
 
-    ``which`` selects the largest algebraic ("LA") or largest-magnitude
-    ("LM") end of the spectrum; pairs come back in that order.  The
-    ``deflate`` direction is projected out of the operator's input and
-    output.  Raises EigensolverError on non-convergence.
+    The ``deflate`` direction is projected out of the operator's input and
+    output.  Raises EigensolverError on failure or non-convergence.
     """
     defl = None if deflate is None else deflate / np.linalg.norm(deflate)
 
@@ -81,17 +79,10 @@ def extreme_eigenpairs(apply_op: Callable[[np.ndarray], np.ndarray],
                              matvec=lambda x: project(apply_op(project(x))))
     v0 = project(np.random.default_rng(seed).standard_normal(dim))
     try:
-        vals, vecs = spla.eigsh(op, k=nev, which=which, v0=v0, tol=tol)
-    except spla.ArpackNoConvergence as exc:
-        raise EigensolverError(f"Lanczos did not converge: {exc}") from exc
+        vals, vecs = spla.eigsh(op, k=nev, which="LA", v0=v0, tol=1e-10)
     except spla.ArpackError as exc:
-        # ARPACK gives up when the operator maps the start vector to zero;
-        # for the zero operator every direction is an eigenvector of 0
-        if np.any(op.matvec(v0)):
-            raise EigensolverError(f"Lanczos failed: {exc}") from exc
-        vecs, _ = np.linalg.qr(np.column_stack([v0] * nev))
-        return np.zeros(nev), vecs
-    order = np.argsort(-vals if which == "LA" else -np.abs(vals))
+        raise EigensolverError(f"Lanczos failed: {exc}") from exc
+    order = np.argsort(-vals)
     return vals[order], vecs[:, order]
 
 
@@ -260,8 +251,7 @@ def compute_r_modes(mesh: TriMesh, p_count: int) -> ModeBasis:
     # constant function is the one zero eigenvector
     vals, cs = extreme_eigenpairs(apply_op, dim=dim,
                                   nev=min(p_count, dim - 1),
-                                  deflate=restrict(np.ones(nb)),
-                                  which="LA")
+                                  deflate=restrict(np.ones(nb)))
     if np.any(vals <= 0.0):
         raise EigensolverError(
             f"Neumann-to-Dirichlet operator produced non-positive "

@@ -367,9 +367,6 @@ class _Fronts:
         sort = np.argsort(key, kind="stable")
         key, stretch = key[sort], stretch[sort]
         unique = np.diff(key, prepend=-1) != 0
-        # the stretch k of front f is number[6 f + k] of those left
-        number = np.zeros(6 * fronts, dtype=np.intp)
-        number[stretch] = np.cumsum(unique) - 1
         key, stretch = key[unique], stretch[unique]
         owner, first, length = stretch // 6, first[stretch], length[stretch]
         self.r = r = np.bincount(owner, weights=length,
@@ -411,7 +408,7 @@ class _Fronts:
 
         # entry (a, b) of the matrix goes to the front of a if b is not
         # eliminated before a: to its e x e block, or to its e x r block
-        # at the stretch of the ring next to the box on b's side
+        # at b's place in the ring, found in its stretch like a run's
         self.offset = offset = np.cumsum(e * (e + r)) - e * (e + r)
         self.size = int(np.sum(e * (e + r)))
         self.nnz = int(np.sum(e * (e + 1) // 2 + e * r))
@@ -432,15 +429,9 @@ class _Fronts:
         src = len(_STENCIL) * a + k
         dst = base[pa] + pb
         theirs = np.flatnonzero(pb >= end[pa])
-        a, k, pb, pa = a[theirs], k[theirs], pb[theirs], pa[theirs]
+        pb, pa = pb[theirs], pa[theirs]
         ft = f[pa]
-        di, dj = np.array(_STENCIL).T
-        bi, bj = a % side + di[k], a // side + dj[k]
-        left, below = bi < i0[ft], bj < j0[ft]
-        right, above = bi >= i1[ft], bj >= j1[ft]
-        ks = number[6 * ft + np.select(
-            [left & below, right & above, left, below, right], [4, 5, 0, 1, 2],
-            3)]
+        ks = np.searchsorted(key, ft * nodes + pb, side="right") - 1
         dst[theirs] = (offset + e * e)[ft] + (pa - s[ft]) * r[ft] \
             + ahead[ks] + pb - first[ks]
         self.src = _narrow(src, len(_STENCIL) * nodes)

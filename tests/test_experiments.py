@@ -208,6 +208,14 @@ def test_sweep_record_shape_and_order():
     assert records[1]["err_star"] == 0.0
 
 
+def test_affine_rows_count_the_affine_data():
+    # ME-affine fits the 3 affine data, not the P modes the sweep resolves
+    records = sweep([0.25], ["ME-affine", "A_star"], r=4.0, q=5,
+                    coarse_h=0.2)
+    assert [rec.get("error") for rec in records] == [None, None]
+    assert [rec["P"] for rec in records] == [3, 5]
+
+
 def test_sweep_workers_match_serial_and_simulate_once(monkeypatch):
     calls = []
 
